@@ -44,7 +44,7 @@ PROB_HARD_LIMIT = 1e-4
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tolerances for the preconditioned conjugate-gradient solver.
+    """Tolerances for the Jacobi-preconditioned conjugate-gradient solver.
 
     rel_tol applies to the preconditioned residual norm relative to the
     preconditioned right-hand side. max_iters defaults to
@@ -53,15 +53,12 @@ class SolverConfig:
 
     rel_tol: float = 1e-8
     max_iters: int | None = None
-    preconditioner: str = "jacobi"  # "jacobi" | "none"
 
     def __post_init__(self):
         if not self.rel_tol > 0:
             raise ValueError(f"rel_tol must be > 0, got {self.rel_tol}")
         if self.max_iters is not None and self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.preconditioner not in ("jacobi", "none"):
-            raise ValueError(f"unknown preconditioner {self.preconditioner!r}")
 
     def resolve_max_iters(self, n_unseeded: int) -> int:
         if self.max_iters is not None:
@@ -85,7 +82,7 @@ class DirichletSystem:
 
     seed_nodes/seed_labels are sorted by node id; `unseeded` holds the
     complementary node ids ascending. L_U rows/cols follow `unseeded`
-    order, B columns follow `seed_nodes` order.
+    order, B columns follow `seed_nodes` order. `label_ids` ascend.
     """
 
     graph: LatticeGraph
@@ -305,10 +302,7 @@ def _solve_one(sys: DirichletSystem, label: int, cfg: SolverConfig):
     rhs = -(sys.B @ m_vec)
     if not rhs.any():
         return np.zeros(n_u), LabelSolveStats(int(label), 0, 0.0)
-    if cfg.preconditioner == "jacobi":
-        minv = 1.0 / sys.L_U.diagonal()
-    else:
-        minv = np.ones(n_u)
+    minv = 1.0 / sys.L_U.diagonal()
     max_iters = cfg.resolve_max_iters(n_u)
     x, iters, res = _pcg(sys.L_U, rhs, minv, cfg.rel_tol, max_iters)
     if res > cfg.rel_tol:
@@ -360,10 +354,7 @@ def solve_all(
     m = len(label_ids)
     n = sys.n_nodes
     values = np.zeros((n, m))
-
-    col_of = {lab: k for k, lab in enumerate(label_ids)}
-    seed_cols = np.array([col_of[int(l)] for l in sys.seed_labels])
-    values[sys.seed_nodes, seed_cols] = 1.0
+    values[sys.seed_nodes, np.searchsorted(label_ids, sys.seed_labels)] = 1.0
 
     stats: list[LabelSolveStats] = []
     if sys.n_unseeded:
@@ -434,8 +425,7 @@ def dense_reference_solve(sys: DirichletSystem) -> ProbabilityField:
     label_ids = sys.label_ids
     m = len(label_ids)
     values = np.zeros((sys.n_nodes, m))
-    col_of = {lab: k for k, lab in enumerate(label_ids)}
-    seed_cols = np.array([col_of[int(l)] for l in sys.seed_labels])
+    seed_cols = np.searchsorted(label_ids, sys.seed_labels)
     values[sys.seed_nodes, seed_cols] = 1.0
     if n_u:
         M = np.zeros((sys.seed_nodes.size, m))

@@ -154,8 +154,14 @@ def _validate_header(hdr: NiftiHeader) -> None:
         raise DimMismatch(f"dim[0] is {hdr.dim[0]}; only 3D volumes are supported")
     if min(hdr.dims) < 1:
         raise DimMismatch(f"non-positive dims {hdr.dims}")
+    if not hdr.vox_offset.is_integer():  # also rejects NaN and inf
+        raise BadMagic(f"vox_offset {hdr.vox_offset} is not a whole byte offset")
     if hdr.vox_offset < DATA_OFFSET:
         raise BadMagic(f"vox_offset {hdr.vox_offset} < {DATA_OFFSET}")
+    if not np.isfinite((hdr.scl_slope, hdr.scl_inter)).all():
+        raise UnsupportedDatatype(
+            f"non-finite scaling: scl_slope {hdr.scl_slope}, scl_inter {hdr.scl_inter}"
+        )
 
 
 def read_header(path) -> NiftiHeader:

@@ -14,7 +14,7 @@ stay background, or inherit the label of the spatially nearest seed.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.ndimage import distance_transform_edt
@@ -26,13 +26,12 @@ from .errors import (
     OverlappingHemispheres,
     SeedlessComponent,
 )
-from .lattice import build_lattice, connected_components
+from .lattice import LatticeGraph, build_lattice
 from .volume import (
     BACKGROUND_ID,
     LabelSet,
     MultiLabelAnnotation,
     Volume3D,
-    argmax_labels,
     require_same_dims,
     strip_conflicts,
 )
@@ -101,116 +100,83 @@ class PropagationResult:
     report: dict
 
 
-def _grid_volume(flat_values, dims, like: Volume3D, kind) -> Volume3D:
-    data = np.asarray(flat_values).reshape(dims, order="F")
-    return Volume3D(data, kind, like.spacing, like.origin)
+def _nearest_seed_cols(fill_voxels, seeds: np.ndarray, labels: LabelSet, spacing):
+    """Label column of the spacing-weighted nearest seed for each fill voxel.
 
-
-def _nearest_seed_labels(
-    fill_mask: np.ndarray,
-    seeds_data: np.ndarray,
-    labels: LabelSet,
-    spacing,
-) -> np.ndarray:
-    """Label of the spacing-weighted nearest seed for each fill voxel.
-
-    Ties go to the smaller label id. Returns the fill voxels' labels in
-    x-fastest scan order of `fill_mask`.
+    `fill_voxels` are x-fastest flat indices; the nonzero voxels of the
+    label volume `seeds` are the seeds to draw from. Ties go to the smaller
+    label id.
     """
-    fill_idx = np.flatnonzero(fill_mask.ravel(order="F"))
-    dists = np.full((len(labels), fill_idx.size), np.inf)
+    where = np.unravel_index(fill_voxels, seeds.shape, order="F")
+    dists = np.full((len(labels), fill_voxels.size), np.inf)
     for k, lab in enumerate(labels.ids):
-        seeded_here = seeds_data == lab
-        if not seeded_here.any():
-            continue
-        d = distance_transform_edt(~seeded_here, sampling=spacing)
-        dists[k] = d.ravel(order="F")[fill_idx]
-    ids = np.asarray(labels.ids, dtype=np.uint16)
-    return ids[np.argmin(dists, axis=0)]  # first minimum = smallest label id
+        seeded_here = seeds == lab
+        if seeded_here.any():
+            dists[k] = distance_transform_edt(~seeded_here, sampling=spacing)[where]
+    return np.argmin(dists, axis=0)  # first minimum = smallest label id
 
 
-def propagate(req: PropagationRequest, workers: int = 1) -> PropagationResult:
-    """Run seeded random-walker propagation over the roi.
+def _drop_nodes(graph: LatticeGraph, keep: np.ndarray) -> LatticeGraph:
+    """The subgraph on the `keep` nodes, renumbered in their old order.
 
-    Raises
-    ------
-    NoSeedsInRoi
-        If, after conflict stripping, no single-labeled voxel lies in the roi.
-    SeedlessComponent
-        Under ``seedless_policy="error"`` when a roi component has no seed.
+    Kept edges keep their order and weights, so the result equals
+    `build_lattice` over the smaller roi edge for edge.
+    """
+    new_id = np.cumsum(keep) - 1
+    kept = keep[graph.edges_i] & keep[graph.edges_j]
+    node_voxels = graph.node_voxels[keep]
+    ids_flat = np.full(int(np.prod(graph.dims)), -1, dtype=np.int64)
+    ids_flat[node_voxels] = np.arange(node_voxels.size)
+    return LatticeGraph(
+        dims=graph.dims,
+        node_ids=ids_flat.reshape(graph.dims, order="F"),
+        node_voxels=node_voxels,
+        edges_i=new_id[graph.edges_i[kept]],
+        edges_j=new_id[graph.edges_j[kept]],
+        weights=graph.weights[kept],
+        beta=graph.beta,
+    )
+
+
+def _solve_region(req: PropagationRequest, roi: Volume3D, seeds, conflicts, workers):
+    """Seeded Dirichlet solve over `roi`, and the fill of its seedless pockets.
+
+    Only the voxels of the seed label volume `seeds` inside `roi` are
+    seeds. Returns ``(node_voxels, values)`` with values (n_nodes, m), the
+    pocket fill ``(voxels, label columns)`` (empty unless the policy is
+    nearest_seed), and the region's report.
     """
     labels = req.label_set
-    dims = require_same_dims(req.guidance, req.roi)
-    roi_data = req.roi.data
-
-    seeds_vol, conflict_vol = strip_conflicts(req.annotation)
-    seeds_all = seeds_vol.data > 0
-    seeds_in = seeds_all & roi_data
-    n_outside = int((seeds_all & ~roi_data).sum())
-    if n_outside:
-        log.warning("dropping %d seeds outside the roi", n_outside)
+    seeds_in = (seeds > 0) & roi.data
     if not seeds_in.any():
         raise NoSeedsInRoi("no single-labeled voxel inside the roi")
-    seeds_data = np.where(seeds_in, seeds_vol.data, BACKGROUND_ID).astype(np.uint16)
-
-    graph = build_lattice(req.guidance, req.roi, req.beta)
-    comp = connected_components(graph)
-    n_components = int(comp.max()) + 1
-
-    ids_flat = graph.node_ids.ravel(order="F")
     seed_flat = np.flatnonzero(seeds_in.ravel(order="F"))
-    seed_nodes = ids_flat[seed_flat]
-    seed_label_vals = seeds_data.ravel(order="F")[seed_flat]
+    seed_labels = seeds.ravel(order="F")[seed_flat]
 
-    has_seed = np.zeros(n_components, dtype=bool)
-    has_seed[comp[seed_nodes]] = True
-    seedless_ids = np.flatnonzero(~has_seed)
-    n_seedless_voxels = int((~has_seed[comp]).sum())
-
-    if seedless_ids.size and req.seedless_policy == "error":
+    graph = build_lattice(req.guidance, roi, req.beta)
+    seed_nodes = graph.node_ids.ravel(order="F")[seed_flat]
+    system = assemble(graph, (seed_nodes, seed_labels), labels)
+    n_components, seedless = system.n_components, system.seedless_components
+    pocket = np.isin(system.component_of_node, seedless)
+    pocket_voxels = graph.node_voxels[pocket]
+    if seedless and req.seedless_policy == "error":
         raise SeedlessComponent(
-            f"roi components {seedless_ids.tolist()} contain no seed "
-            f"({n_seedless_voxels} voxels)",
-            component_ids=seedless_ids,
+            f"roi components {list(seedless)} contain no seed "
+            f"({pocket_voxels.size} voxels)",
+            component_ids=seedless,
         )
-
-    fill_mask = np.zeros(dims, dtype=bool)
-    if seedless_ids.size:
-        # carve seedless pockets out and re-lattice the solvable part
-        keep_nodes = has_seed[comp]
-        dropped = graph.node_voxels[~keep_nodes]
-        fill_flat = np.zeros(roi_data.size, dtype=bool)
-        fill_flat[dropped] = True
-        fill_mask = fill_flat.reshape(dims, order="F")
-        solved_roi = req.roi.with_data(roi_data & ~fill_mask, "mask")
-        graph = build_lattice(req.guidance, solved_roi, req.beta)
-        ids_flat = graph.node_ids.ravel(order="F")
-        seed_nodes = ids_flat[seed_flat]
-
-    system = assemble(graph, (seed_nodes, seed_label_vals), labels)
+    if seedless:
+        graph = _drop_nodes(graph, ~pocket)
+        seed_nodes = graph.node_ids.ravel(order="F")[seed_flat]
+        system = assemble(graph, (seed_nodes, seed_labels), labels)
     field_ = solve_all(system, req.solver, workers=workers)
 
-    m = len(labels)
-    soft_flat = np.zeros((m, roi_data.size))  # x-fastest linear order
-    soft_flat[:, graph.node_voxels] = field_.values.T
+    fill = (pocket_voxels[:0], pocket_voxels[:0])
+    if seedless and req.seedless_policy == "nearest_seed":
+        own_seeds = np.where(seeds_in, seeds, BACKGROUND_ID)
+        cols = _nearest_seed_cols(pocket_voxels, own_seeds, labels, roi.spacing)
+        fill = (pocket_voxels, cols)
 
-    labeled_mask = roi_data & ~fill_mask
-    if fill_mask.any() and req.seedless_policy == "nearest_seed":
-        # fill voxels were carved out of the graph, so their soft rows are zero
-        fill_labels = _nearest_seed_labels(fill_mask, seeds_data, labels, req.roi.spacing)
-        fill_idx = np.flatnonzero(fill_mask.ravel(order="F"))
-        col = {lab: k for k, lab in enumerate(labels.ids)}
-        rows = np.array([col[int(l)] for l in fill_labels])
-        soft_flat[rows, fill_idx] = 1.0
-        labeled_mask = roi_data
-
-    soft = tuple(
-        _grid_volume(soft_flat[k], dims, req.roi, "probability") for k in range(m)
-    )
-    region = Volume3D(labeled_mask, "mask", req.roi.spacing, req.roi.origin)
-    hard = argmax_labels(soft, labels, region)
-
-    n_filled = int(fill_mask.sum()) if req.seedless_policy == "nearest_seed" else 0
     stats = [
         {
             "label_id": int(s.label_id),
@@ -225,19 +191,65 @@ def propagate(req: PropagationRequest, workers: int = 1) -> PropagationResult:
         "n_nodes": int(graph.n_nodes),
         "n_unseeded": int(system.n_unseeded),
         "n_seeds": int(seed_nodes.size),
-        "n_seeds_outside_roi": n_outside,
-        "n_conflicts_cleared": int((conflict_vol.data & roi_data).sum()),
+        "n_conflicts_cleared": int((conflicts & roi.data).sum()),
         "n_components": n_components,
-        "seedless_components": [int(c) for c in seedless_ids],
-        "n_seedless_voxels": n_seedless_voxels,
-        "n_policy_filled": n_filled,
+        "seedless_components": list(seedless),
+        "n_seedless_voxels": int(pocket_voxels.size),
+        "n_policy_filled": int(fill[0].size),
         "policy": req.seedless_policy,
         "beta": float(req.beta),
         "rel_tol": float(req.solver.rel_tol),
         "labels": stats,
         "total_iterations": int(sum(s["iterations"] for s in stats)),
     }
-    return PropagationResult(labels, soft, hard, report)
+    return (graph.node_voxels, field_.values), fill, report
+
+
+def _write_volumes(like: Volume3D, labels: LabelSet, solved, fills):
+    """Scatter node-space results and fills into soft volumes and a hard map.
+
+    `solved` holds ``(node_voxels, values)`` pairs and `fills` holds
+    ``(voxels, label columns)`` pairs, which get one-hot rows. A hard voxel
+    takes its row's argmax, ties going to the smallest label id. Voxels in
+    neither stay background with zero probabilities.
+    """
+    ids = np.asarray(labels.ids, dtype=np.uint16)
+    hard = np.full(like.n_voxels, BACKGROUND_ID, dtype=np.uint16)
+    for voxels, values in solved:
+        hard[voxels] = ids[np.argmax(values, axis=1)]
+    for voxels, cols in fills:
+        hard[voxels] = ids[cols]
+    soft = []
+    for k in range(len(labels)):
+        flat = np.zeros(like.n_voxels)
+        for voxels, values in solved:
+            flat[voxels] = values[:, k]
+        for voxels, cols in fills:
+            flat[voxels[cols == k]] = 1.0
+        soft.append(like.with_data(flat.reshape(like.dims, order="F"), "probability"))
+    return tuple(soft), like.with_data(hard.reshape(like.dims, order="F"), "label")
+
+
+def propagate(req: PropagationRequest, workers: int = 1) -> PropagationResult:
+    """Run seeded random-walker propagation over the roi.
+
+    Raises
+    ------
+    NoSeedsInRoi
+        If, after conflict stripping, no single-labeled voxel lies in the roi.
+    SeedlessComponent
+        Under ``seedless_policy="error"`` when a roi component has no seed.
+    """
+    seeds_vol, conflict_vol = strip_conflicts(req.annotation)
+    n_outside = int(((seeds_vol.data > 0) & ~req.roi.data).sum())
+    if n_outside:
+        log.warning("dropping %d seeds outside the roi", n_outside)
+    solved, fill, report = _solve_region(
+        req, req.roi, seeds_vol.data, conflict_vol.data, workers
+    )
+    soft, hard = _write_volumes(req.roi, req.label_set, [solved], [fill])
+    report = {"n_seeds_outside_roi": n_outside, **report}
+    return PropagationResult(req.label_set, soft, hard, report)
 
 
 def propagate_bilateral(
@@ -247,8 +259,10 @@ def propagate_bilateral(
 ) -> PropagationResult:
     """Propagate each hemisphere independently and merge the results.
 
-    The two masks must be disjoint and lie inside the request roi. Roi
-    voxels outside both hemispheres follow the request's seedless policy.
+    The two masks must be disjoint and lie inside the request roi. A
+    hemisphere's seedless pockets are filled from its own seeds; roi voxels
+    outside both hemispheres follow the request's seedless policy, using
+    the seeds of both.
 
     Raises
     ------
@@ -260,18 +274,22 @@ def propagate_bilateral(
     for h in (left, right):
         if h.kind != "mask":
             raise ValueError(f"hemisphere masks must be masks, got {h.kind!r}")
-    dims = require_same_dims(req.roi, left, right)
+    require_same_dims(req.roi, left, right)
     if (left.data & right.data).any():
         raise OverlappingHemispheres("hemisphere masks intersect")
     union = left.data | right.data
     if (union & ~req.roi.data).any():
         raise ValueError("hemisphere masks extend outside the roi")
 
-    results = [
-        propagate(replace(req, roi=h), workers=workers) for h in (left, right)
-    ]
     labels = req.label_set
-    m = len(labels)
+    seeds_vol, conflict_vol = strip_conflicts(req.annotation)
+    seeds = seeds_vol.data
+    n_outside = int(((seeds > 0) & ~union).sum())
+    if n_outside:
+        log.warning("dropping %d seeds outside the hemisphere masks", n_outside)
+    halves = [
+        _solve_region(req, h, seeds, conflict_vol.data, workers) for h in (left, right)
+    ]
 
     gap = req.roi.data & ~union
     n_gap = int(gap.sum())
@@ -279,47 +297,24 @@ def propagate_bilateral(
         raise SeedlessComponent(
             f"{n_gap} roi voxels lie outside both hemisphere masks"
         )
-
-    soft_flat = np.stack(
-        [
-            (results[0].soft[k].data + results[1].soft[k].data).ravel(order="F")
-            for k in range(m)
-        ]
-    )
-    hard_data = np.where(
-        left.data, results[0].hard.data, results[1].hard.data
-    ).astype(np.uint16)
-    hard_data[~union] = BACKGROUND_ID
-    hard_flat = hard_data.ravel(order="F")
-    labeled_mask = union
-
+    fills = [fill for _, fill, _ in halves]
     n_gap_filled = 0
     if n_gap and req.seedless_policy == "nearest_seed":
-        seeds_vol, _ = strip_conflicts(req.annotation)
-        seeds_data = np.where(
-            (seeds_vol.data > 0) & union, seeds_vol.data, BACKGROUND_ID
-        ).astype(np.uint16)
-        fill_labels = _nearest_seed_labels(gap, seeds_data, labels, req.roi.spacing)
-        gap_idx = np.flatnonzero(gap.ravel(order="F"))
-        hard_flat[gap_idx] = fill_labels
-        col = {lab: k for k, lab in enumerate(labels.ids)}
-        rows = np.array([col[int(l)] for l in fill_labels])
-        soft_flat[rows, gap_idx] = 1.0
-        labeled_mask = req.roi.data
+        gap_voxels = np.flatnonzero(gap.ravel(order="F"))
+        union_seeds = np.where(union, seeds, BACKGROUND_ID)
+        gap_cols = _nearest_seed_cols(gap_voxels, union_seeds, labels, req.roi.spacing)
+        fills.append((gap_voxels, gap_cols))
         n_gap_filled = n_gap
 
-    soft = tuple(
-        _grid_volume(soft_flat[k], dims, req.roi, "probability") for k in range(m)
-    )
-    hard = _grid_volume(hard_flat, dims, req.roi, "label")
-
+    soft, hard = _write_volumes(req.roi, labels, [s for s, _, _ in halves], fills)
     report = {
         "mode": "bilateral",
-        "hemispheres": [r.report for r in results],
+        "hemispheres": [r for _, _, r in halves],
+        "n_seeds_outside_roi": n_outside,
         "n_gap_voxels": n_gap,
         "n_gap_filled": n_gap_filled,
         "policy": req.seedless_policy,
         "beta": float(req.beta),
-        "n_labeled_voxels": int(labeled_mask.sum()),
+        "n_labeled_voxels": int(union.sum()) + n_gap_filled,
     }
     return PropagationResult(labels, soft, hard, report)

@@ -28,7 +28,7 @@ from typing import Iterable, Literal, Sequence
 
 import numpy as np
 
-from .errors import ConstantVolume, DimMismatch, TargetTooLarge
+from .errors import ConstantVolume, DimMismatch, NonFiniteInput, TargetTooLarge
 
 ElementKind = Literal["intensity", "label", "mask", "probability"]
 
@@ -49,6 +49,8 @@ def _as_triple(value, name: str, typ=float) -> tuple:
     out = tuple(typ(v) for v in value)
     if len(out) != 3:
         raise ValueError(f"{name} must have exactly 3 entries, got {len(out)}")
+    if not np.isfinite(out).all():
+        raise NonFiniteInput(f"{name} must be finite, got {out}")
     return out
 
 
@@ -63,8 +65,13 @@ class Volume3D:
         `kind`; mask input must contain only {0, 1} and label input only
         non-negative integers below 2**16.
     kind : {"intensity", "label", "mask", "probability"}
-    spacing : 3 floats, mm per voxel along x, y, z. All > 0.
-    origin : 3 floats, world coordinates (mm) of voxel (0, 0, 0).
+    spacing : 3 floats, mm per voxel along x, y, z. All finite and > 0.
+    origin : 3 finite floats, world coordinates (mm) of voxel (0, 0, 0).
+
+    Raises
+    ------
+    NonFiniteInput
+        If `spacing` or `origin` holds NaN or inf.
     """
 
     data: np.ndarray
@@ -107,9 +114,6 @@ class Volume3D:
     def with_data(self, data, kind: ElementKind | None = None) -> "Volume3D":
         """New volume on the same grid (spacing/origin preserved)."""
         return Volume3D(data, kind or self.kind, self.spacing, self.origin)
-
-    def same_grid(self, other: "Volume3D") -> bool:
-        return self.dims == other.dims
 
 
 def require_same_dims(*volumes) -> tuple[int, int, int]:
@@ -206,7 +210,8 @@ class MultiLabelAnnotation:
 
     ``masks[k]`` marks the voxels carrying ``labels.ids[k]``. A voxel's set
     may be empty (unlabeled), a singleton, or larger (conflicting labels
-    from overlapping per-structure delineations).
+    from overlapping per-structure delineations). `spacing` and `origin`
+    must be finite (:class:`NonFiniteInput` otherwise).
     """
 
     labels: LabelSet

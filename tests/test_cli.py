@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -340,3 +341,19 @@ class TestInfoCommand:
 
     def test_missing_file_exits_2(self, tmp_path):
         assert run(["info", "--in", tmp_path / "nope.nii"]) == 2
+
+    # vox_offset inf / NaN / fractional, scl_slope NaN, pixdim[1] NaN
+    @pytest.mark.parametrize(
+        "offset, value",
+        [(108, float("inf")), (108, float("nan")), (108, 352.5), (112, float("nan")),
+         (80, float("nan"))],
+    )
+    def test_corrupt_header_field_exits_2(self, tmp_path, capsys, offset, value):
+        vol = Volume3D(np.linspace(0, 1, 8).reshape(2, 2, 2), "intensity")
+        path = tmp_path / "v.nii"
+        write_volume(vol, path)
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<f", raw, offset, value)
+        path.write_bytes(bytes(raw))
+        assert run(["info", "--in", path]) == 2
+        assert "error" in capsys.readouterr().err

@@ -8,6 +8,7 @@ from voxprop import (
     DimMismatch,
     IoFailure,
     LabelSet,
+    NonFiniteInput,
     PathCountMismatch,
     TruncatedFile,
     UnsupportedDatatype,
@@ -166,6 +167,40 @@ def test_scl_slope_applied_to_intensity(tmp_path):
     path.write_bytes(bytes(raw))
     r = read_volume(path, "intensity")
     assert np.allclose(r.data, v.data.astype(np.float32) * 2.0 - 1.0)
+
+
+def _corrupt(tmp_path, kind, offset, value):
+    """A written volume with the float32 header field at `offset` replaced."""
+    path = tmp_path / "v.nii"
+    write_volume(_volume(kind), path)
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<f", raw, offset, value)
+    path.write_bytes(bytes(raw))
+    return path
+
+
+@pytest.mark.parametrize("vox_offset", [float("inf"), float("nan"), 352.5])
+def test_non_integral_vox_offset_rejected(tmp_path, vox_offset):
+    path = _corrupt(tmp_path, "intensity", 108, vox_offset)
+    with pytest.raises(BadMagic):
+        read_header(path)
+    with pytest.raises(BadMagic):
+        read_volume(path, "intensity")
+
+
+@pytest.mark.parametrize("offset", [112, 116])  # scl_slope, scl_inter
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_scaling_rejected(tmp_path, offset, value):
+    path = _corrupt(tmp_path, "intensity", offset, value)
+    with pytest.raises(UnsupportedDatatype):
+        read_volume(path, "intensity")
+
+
+@pytest.mark.parametrize("offset", [80, 292])  # pixdim[1], srow_x[3]
+def test_non_finite_geometry_rejected(tmp_path, offset):
+    path = _corrupt(tmp_path, "mask", offset, float("nan"))
+    with pytest.raises(NonFiniteInput):
+        read_volume(path, "mask")
 
 
 def test_labels_never_scaled(tmp_path):

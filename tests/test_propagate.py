@@ -364,3 +364,95 @@ class TestBilateral:
         req_bg = dataclasses.replace(req, seedless_policy="background")
         res_bg = propagate_bilateral(req_bg, (left, right))
         assert (res_bg.hard.data[gap] == BACKGROUND_ID).all()
+
+    def _pocket_setup(self, policy):
+        # a 9-voxel row: left = {0, 1, 3}, right = {4..8}, x=2 outside the
+        # roi. Left voxel 3 is cut off from left's seed at x=0, so it is a
+        # seedless pocket whose nearest seed overall is right's seed at x=4.
+        dims = (9, 1, 1)
+        left = np.zeros(dims, bool)
+        left[[0, 1, 3]] = True
+        right = np.zeros(dims, bool)
+        right[4:] = True
+        ann = annotation_from_sets(LABELS, dims, {(0, 0, 0): {2}, (4, 0, 0): {5}})
+        req = PropagationRequest(
+            guidance=make_intensity(np.zeros(dims)),
+            roi=make_mask(left | right),
+            annotation=ann,
+            seedless_policy=policy,
+        )
+        return req, make_mask(left), make_mask(right)
+
+    def test_pocket_filled_from_own_hemisphere(self):
+        req, left, right = self._pocket_setup("nearest_seed")
+        res = propagate_bilateral(req, (left, right))
+        assert res.hard.data[3, 0, 0] == 2
+        assert res.soft[0].data[3, 0, 0] == 1.0
+        assert res.report["hemispheres"][0]["n_seedless_voxels"] == 1
+        assert res.report["hemispheres"][0]["n_policy_filled"] == 1
+
+    def test_pocket_stays_background_under_background_policy(self):
+        req, left, right = self._pocket_setup("background")
+        res = propagate_bilateral(req, (left, right))
+        assert res.hard.data[3, 0, 0] == BACKGROUND_ID
+        for vol in res.soft:
+            assert vol.data[3, 0, 0] == 0.0
+        assert res.report["hemispheres"][0]["n_policy_filled"] == 0
+        assert (res.hard.data[[0, 1, 4, 5, 6, 7, 8], 0, 0] != BACKGROUND_ID).all()
+
+    def test_seeds_of_the_other_hemisphere_are_not_dropped(self, rng, caplog):
+        req, left, right = self._mirrored_setup(rng)
+        with caplog.at_level("WARNING", logger="voxprop.propagate"):
+            res = propagate_bilateral(req, (left, right))
+        assert res.report["n_seeds_outside_roi"] == 0
+        assert "dropping" not in caplog.text
+
+        # a seed in the gap slab lies in the roi but outside both hemispheres
+        masks = req.annotation.masks.copy()
+        masks[0, 4, 1, 1] = True
+        req = dataclasses.replace(
+            req,
+            roi=make_mask(np.ones(req.roi.dims, bool)),
+            annotation=MultiLabelAnnotation(LABELS, masks),
+        )
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="voxprop.propagate"):
+            res = propagate_bilateral(req, (left, right))
+        assert res.report["n_seeds_outside_roi"] == 1
+        assert caplog.text.count("dropping 1 seeds outside the hemisphere masks") == 1
+
+    def test_report_keys_read_by_the_benchmark(self, rng):
+        req, left, right = self._mirrored_setup(rng)
+        report = propagate_bilateral(req, (left, right)).report
+        assert {"n_gap_voxels", "n_gap_filled"} <= report.keys()
+        report = propagate(req).report
+        assert {"n_seedless_voxels", "n_policy_filled"} <= report.keys()
+
+
+def test_pocket_carve_out_matches_smaller_roi(rng):
+    # the roi splits at x=3 into two slabs whose node ids interleave; seeds
+    # lie only in x < 3, so the slab x > 3 is one seedless pocket
+    labels = LabelSet(((2, "A"), (5, "B"), (7, "C")))
+    dims = (7, 4, 3)
+    roi = np.ones(dims, bool)
+    roi[3] = False
+    solved = roi.copy()
+    solved[4:] = False
+    sets = {(0, 0, 0): {2}, (2, 3, 2): {5}, (1, 2, 1): {7}}
+    for v in zip(*np.nonzero(solved)):
+        if rng.random() < 0.15:
+            sets.setdefault(tuple(int(c) for c in v), {int(rng.choice(labels.ids))})
+    ann = annotation_from_sets(labels, dims, sets)
+    guidance = make_intensity(rng.random(dims))
+
+    def run(mask):
+        return propagate(
+            PropagationRequest(guidance=guidance, roi=make_mask(mask), annotation=ann, beta=20.0)
+        )
+
+    carved, smaller = run(roi), run(solved)
+    assert carved.report["n_seedless_voxels"] == int((roi & ~solved).sum())
+    assert carved.report["n_unseeded"] == smaller.report["n_unseeded"] > 0
+    for a, b in zip(carved.soft, smaller.soft):
+        assert a.data[solved].tobytes() == b.data[solved].tobytes()
+    assert np.array_equal(carved.hard.data[solved], smaller.hard.data[solved])

@@ -7,6 +7,7 @@ from voxprop import (
     DimMismatch,
     LabelSet,
     MultiLabelAnnotation,
+    NonFiniteInput,
     TargetTooLarge,
     Volume3D,
     argmax_labels,
@@ -51,6 +52,16 @@ class TestVolume3D:
     def test_bad_shape(self):
         with pytest.raises(ValueError):
             Volume3D(np.zeros((2, 2)), "intensity")
+
+    @pytest.mark.parametrize("field", ["spacing", "origin"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_geometry(self, field, bad):
+        with pytest.raises(NonFiniteInput):
+            Volume3D(np.zeros((2, 2, 2)), "intensity", **{field: (1.0, bad, 1.0)})
+        with pytest.raises(NonFiniteInput):
+            MultiLabelAnnotation(
+                LabelSet.from_ids([1]), np.zeros((1, 2, 2, 2), bool), **{field: (bad, 1.0, 1.0)}
+            )
 
 
 class TestLabelSet:
