@@ -79,7 +79,6 @@ from .propagate import (
 from .volume import (
     BACKGROUND_ID,
     LabelSet,
-    MembershipField,
     MultiLabelAnnotation,
     Volume3D,
     argmax_labels,
@@ -87,7 +86,6 @@ from .volume import (
     min_max_normalize,
     read_labelset,
     strip_conflicts,
-    to_membership,
     write_labelset,
 )
 
@@ -108,7 +106,6 @@ __all__ = [
     "LabelSet",
     "LabelSolveStats",
     "LatticeGraph",
-    "MembershipField",
     "MultiLabelAnnotation",
     "NiftiHeader",
     "NoSeeds",
@@ -154,7 +151,6 @@ __all__ = [
     "solve_all",
     "solve_label",
     "strip_conflicts",
-    "to_membership",
     "write_labelset",
     "write_volume",
 ]

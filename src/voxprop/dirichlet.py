@@ -6,9 +6,13 @@ seeded (S) and unseeded (U) nodes; the unknown values per label solve
 
     L_U x = -B m_label
 
-where L_U is the U-U block (SPD whenever every component has a seed), B the
-U-S coupling block, and m_label the one-hot indicator of the label over the
-seeds. Row sums of [L_U | B] are zero by construction.
+where L_U is the U-U block, B the U-S coupling block, and m_label the
+one-hot indicator of the label over the seeds. Row sums of [L_U | B] are
+zero by construction.
+
+Nodes of a component with no seed (a pocket) join neither S nor U, so L_U
+is always SPD: a walker there never reaches a seed, and the solvers give
+pocket nodes the exact answer, a zero row.
 
 Per label the system is solved with Jacobi-preconditioned conjugate
 gradients; the last label is recovered by simplex closure (1 minus the
@@ -26,7 +30,7 @@ from typing import Mapping
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ConvergenceFailure, NoSeeds, SeedlessComponent, TooLarge
+from .errors import ConvergenceFailure, NoSeeds, TooLarge
 from .lattice import LatticeGraph, connected_components
 from .volume import LabelSet
 
@@ -80,9 +84,10 @@ class LabelSolveStats:
 class DirichletSystem:
     """Partitioned Laplacian system over a lattice graph.
 
-    seed_nodes/seed_labels are sorted by node id; `unseeded` holds the
-    complementary node ids ascending. L_U rows/cols follow `unseeded`
-    order, B columns follow `seed_nodes` order. `label_ids` ascend.
+    seed_nodes/seed_labels are sorted by node id; `unseeded` holds the other
+    nodes of seeded components ascending, so pocket nodes are in neither.
+    L_U rows/cols follow `unseeded` order, B columns follow `seed_nodes`
+    order. `label_ids` ascend.
     """
 
     graph: LatticeGraph
@@ -117,7 +122,8 @@ class ProbabilityField:
     """Per-node label probabilities, rows over nodes, columns over labels.
 
     Seeded nodes are exactly one-hot; unseeded rows sum to 1 and lie in
-    [0, 1] up to solver tolerance (clamped).
+    [0, 1] up to solver tolerance (clamped). Rows of nodes in seedless
+    components are zero.
     """
 
     values: np.ndarray  # float64 (n_nodes, m)
@@ -175,8 +181,6 @@ def assemble(
     n = graph.n_nodes
     if seed_nodes.min() < 0 or seed_nodes.max() >= n:
         raise ValueError("seed node id out of range")
-    if np.unique(seed_nodes).size != seed_nodes.size:
-        raise ValueError("duplicate seed nodes")
     if labels is not None:
         stray = np.setdiff1d(seed_labels, np.asarray(labels.ids))
         if stray.size:
@@ -190,10 +194,18 @@ def assemble(
     order = np.argsort(seed_nodes)
     seed_nodes = seed_nodes[order]
     seed_labels = seed_labels[order]
+    if (seed_nodes[1:] == seed_nodes[:-1]).any():
+        raise ValueError("duplicate seed nodes")
 
-    seeded_mask = np.zeros(n, dtype=bool)
-    seeded_mask[seed_nodes] = True
-    unseeded = np.flatnonzero(~seeded_mask)
+    comp = connected_components(graph)
+    has_seed = np.zeros(int(comp.max()) + 1, dtype=bool)
+    has_seed[comp[seed_nodes]] = True
+    seedless = tuple(int(c) for c in np.flatnonzero(~has_seed))
+
+    # no edge leaves a pocket, so its nodes stay out of L_U and B alike
+    solved_mask = has_seed[comp]
+    solved_mask[seed_nodes] = False
+    unseeded = np.flatnonzero(solved_mask)
     n_u, n_s = unseeded.size, seed_nodes.size
 
     u_of = np.full(n, -1, dtype=np.int64)
@@ -204,8 +216,8 @@ def assemble(
     ei, ej, w = graph.edges_i, graph.edges_j, graph.weights
     deg = graph.degrees()
 
-    i_un = ~seeded_mask[ei]
-    j_un = ~seeded_mask[ej]
+    i_un = solved_mask[ei]
+    j_un = solved_mask[ej]
 
     both = i_un & j_un
     rows_uu = u_of[ei[both]]
@@ -231,12 +243,6 @@ def assemble(
     w_b = np.concatenate([w[us], w[su]])
     B = sp.coo_matrix((-w_b, (rows_b, cols_b)), shape=(n_u, n_s)).tocsr()
 
-    comp = connected_components(graph)
-    n_comp = int(comp.max()) + 1
-    has_seed = np.zeros(n_comp, dtype=bool)
-    has_seed[comp[seed_nodes]] = True
-    seedless = tuple(int(c) for c in np.flatnonzero(~has_seed))
-
     return DirichletSystem(
         graph=graph,
         seed_nodes=seed_nodes,
@@ -248,15 +254,6 @@ def assemble(
         component_of_node=comp,
         seedless_components=seedless,
     )
-
-
-def _raise_if_seedless(sys: DirichletSystem) -> None:
-    if sys.seedless_components:
-        raise SeedlessComponent(
-            f"components {list(sys.seedless_components)} contain no seed; "
-            "the unseeded block is singular there",
-            component_ids=sys.seedless_components,
-        )
 
 
 def _pcg(A, b, minv, rel_tol, max_iters):
@@ -320,17 +317,16 @@ def solve_label(
 ) -> np.ndarray:
     """Probabilities of one label over the unseeded nodes.
 
-    Returns the solution of ``L_U x = -B m_label``; a label with no seeds
-    anywhere yields the zero vector without iterating.
+    Returns the solution of ``L_U x = -B m_label``, ordered like
+    `sys.unseeded`; a label with no seeds anywhere yields the zero vector
+    without iterating. Nodes of seedless components are not in
+    `sys.unseeded`; their probability is zero.
 
     Raises
     ------
-    SeedlessComponent
-        If any graph component has no seed of any label.
     ConvergenceFailure
         If the iteration cap is hit (the achieved residual is attached).
     """
-    _raise_if_seedless(sys)
     x, _ = _solve_one(sys, label, cfg)
     return x
 
@@ -344,12 +340,11 @@ def solve_all(
 
     Solves m - 1 labels independently (optionally in `workers` threads) and
     closes the simplex by assigning the remaining mass to the largest label
-    id. Seeded nodes are exact one-hot rows. Tiny negative drift is clamped
-    to [0, 1]; rows whose sum moved more than 1e-6 from 1 are renormalized
-    (logged). Drift beyond 1e-4 raises: that indicates a misconfigured
-    solve, not roundoff.
+    id. Seeded nodes are exact one-hot rows; nodes of seedless components
+    get zero rows. Tiny negative drift is clamped to [0, 1]; rows whose sum
+    moved more than 1e-6 from 1 are renormalized (logged). Drift beyond
+    1e-4 raises: that indicates a misconfigured solve, not roundoff.
     """
-    _raise_if_seedless(sys)
     label_ids = sys.label_ids
     m = len(label_ids)
     n = sys.n_nodes
@@ -411,14 +406,14 @@ def _finalize_probabilities(values: np.ndarray, rows: np.ndarray) -> None:
 def dense_reference_solve(sys: DirichletSystem) -> ProbabilityField:
     """Ground-truth field via dense LAPACK factorization; test oracle only.
 
-    Solves every label directly (no closure) on the densified L_U.
+    Solves every label directly (no closure) on the densified L_U; nodes
+    of seedless components get zero rows.
 
     Raises
     ------
     TooLarge
         If the system has more than 4096 unseeded nodes.
     """
-    _raise_if_seedless(sys)
     n_u = sys.n_unseeded
     if n_u > 4096:
         raise TooLarge(f"{n_u} unseeded nodes exceeds the dense limit of 4096")

@@ -102,14 +102,6 @@ class LatticeGraph:
         np.add.at(d, self.edges_j, self.weights)
         return d
 
-    def adjacency(self) -> sp.csr_matrix:
-        """Symmetric sparse weight matrix (n_nodes x n_nodes)."""
-        n = self.n_nodes
-        rows = np.concatenate([self.edges_i, self.edges_j])
-        cols = np.concatenate([self.edges_j, self.edges_i])
-        vals = np.concatenate([self.weights, self.weights])
-        return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-
 
 def build_lattice(g: Volume3D, roi: Volume3D, beta: float) -> LatticeGraph:
     """Build the 6-connected lattice over roi voxels of a guidance image.

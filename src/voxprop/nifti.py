@@ -154,6 +154,8 @@ def _validate_header(hdr: NiftiHeader) -> None:
         raise DimMismatch(f"dim[0] is {hdr.dim[0]}; only 3D volumes are supported")
     if min(hdr.dims) < 1:
         raise DimMismatch(f"non-positive dims {hdr.dims}")
+    if any(p <= 0 for p in hdr.spacing):  # NaN passes; Volume3D rejects it
+        raise BadMagic(f"non-positive voxel spacing pixdim[1:4] = {hdr.spacing}")
     if not hdr.vox_offset.is_integer():  # also rejects NaN and inf
         raise BadMagic(f"vox_offset {hdr.vox_offset} is not a whole byte offset")
     if hdr.vox_offset < DATA_OFFSET:

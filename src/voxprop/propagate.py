@@ -6,9 +6,10 @@ lattice is built over the roi, and the seeded Dirichlet problem is solved
 per label. Outputs are soft per-label probability volumes plus the argmax
 hard labeling, with a run report for auditing.
 
-Connected roi pockets that end up with no seed at all cannot be solved
-(singular block); the `seedless_policy` decides whether they abort the run,
-stay background, or inherit the label of the spatially nearest seed.
+Connected roi pockets that end up with no seed at all are left out of the
+solve: a random walker there never reaches a seed. The `seedless_policy`
+decides whether they abort the run, stay background, or inherit the label
+of the spatially nearest seed.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .errors import (
     OverlappingHemispheres,
     SeedlessComponent,
 )
-from .lattice import LatticeGraph, build_lattice
+from .lattice import build_lattice
 from .volume import (
     BACKGROUND_ID,
     LabelSet,
@@ -116,35 +117,14 @@ def _nearest_seed_cols(fill_voxels, seeds: np.ndarray, labels: LabelSet, spacing
     return np.argmin(dists, axis=0)  # first minimum = smallest label id
 
 
-def _drop_nodes(graph: LatticeGraph, keep: np.ndarray) -> LatticeGraph:
-    """The subgraph on the `keep` nodes, renumbered in their old order.
-
-    Kept edges keep their order and weights, so the result equals
-    `build_lattice` over the smaller roi edge for edge.
-    """
-    new_id = np.cumsum(keep) - 1
-    kept = keep[graph.edges_i] & keep[graph.edges_j]
-    node_voxels = graph.node_voxels[keep]
-    ids_flat = np.full(int(np.prod(graph.dims)), -1, dtype=np.int64)
-    ids_flat[node_voxels] = np.arange(node_voxels.size)
-    return LatticeGraph(
-        dims=graph.dims,
-        node_ids=ids_flat.reshape(graph.dims, order="F"),
-        node_voxels=node_voxels,
-        edges_i=new_id[graph.edges_i[kept]],
-        edges_j=new_id[graph.edges_j[kept]],
-        weights=graph.weights[kept],
-        beta=graph.beta,
-    )
-
-
 def _solve_region(req: PropagationRequest, roi: Volume3D, seeds, conflicts, workers):
     """Seeded Dirichlet solve over `roi`, and the fill of its seedless pockets.
 
     Only the voxels of the seed label volume `seeds` inside `roi` are
-    seeds. Returns ``(node_voxels, values)`` with values (n_nodes, m), the
-    pocket fill ``(voxels, label columns)`` (empty unless the policy is
-    nearest_seed), and the region's report.
+    seeds. Returns ``(node_voxels, values)`` over the solved nodes, pockets
+    left out, with values (n_solved, m); the pocket fill ``(voxels, label
+    columns)``, empty unless the policy is nearest_seed; and the region's
+    report.
     """
     labels = req.label_set
     seeds_in = (seeds > 0) & roi.data
@@ -165,11 +145,10 @@ def _solve_region(req: PropagationRequest, roi: Volume3D, seeds, conflicts, work
             f"({pocket_voxels.size} voxels)",
             component_ids=seedless,
         )
-    if seedless:
-        graph = _drop_nodes(graph, ~pocket)
-        seed_nodes = graph.node_ids.ravel(order="F")[seed_flat]
-        system = assemble(graph, (seed_nodes, seed_labels), labels)
     field_ = solve_all(system, req.solver, workers=workers)
+    node_voxels, values = graph.node_voxels, field_.values
+    if seedless:  # pocket rows are zero; the policy decides their voxels
+        node_voxels, values = node_voxels[~pocket], values[~pocket]
 
     fill = (pocket_voxels[:0], pocket_voxels[:0])
     if seedless and req.seedless_policy == "nearest_seed":
@@ -188,7 +167,7 @@ def _solve_region(req: PropagationRequest, roi: Volume3D, seeds, conflicts, work
         for s in field_.stats
     ]
     report = {
-        "n_nodes": int(graph.n_nodes),
+        "n_nodes": int(node_voxels.size),
         "n_unseeded": int(system.n_unseeded),
         "n_seeds": int(seed_nodes.size),
         "n_conflicts_cleared": int((conflicts & roi.data).sum()),
@@ -202,7 +181,7 @@ def _solve_region(req: PropagationRequest, roi: Volume3D, seeds, conflicts, work
         "labels": stats,
         "total_iterations": int(sum(s["iterations"] for s in stats)),
     }
-    return (graph.node_voxels, field_.values), fill, report
+    return (node_voxels, values), fill, report
 
 
 def _write_volumes(like: Volume3D, labels: LabelSet, solved, fills):

@@ -252,26 +252,6 @@ class MultiLabelAnnotation:
         return self.masks.sum(axis=0, dtype=np.int64)
 
 
-@dataclass(frozen=True)
-class MembershipField:
-    """Per-voxel fractional membership over a label set.
-
-    ``values[k]`` is the membership volume for ``labels.ids[k]``; rows sum
-    to 1 at labeled voxels and to 0 at unlabeled ones.
-    """
-
-    labels: LabelSet
-    values: np.ndarray  # float64, shape (m, nx, ny, nz)
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 4 or values.shape[0] != len(self.labels):
-            raise ValueError(f"values shape {values.shape} does not match label set")
-        values = values.copy()
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-
 # --- operations ---------------------------------------------------------------
 
 
@@ -351,18 +331,6 @@ def strip_conflicts(a: MultiLabelAnnotation) -> tuple[Volume3D, Volume3D]:
         Volume3D(seeds, "label", a.spacing, a.origin),
         Volume3D(conflicts, "mask", a.spacing, a.origin),
     )
-
-
-def to_membership(a: MultiLabelAnnotation) -> MembershipField:
-    """Spread each voxel's unit mass evenly over its n assigned labels.
-
-    A voxel with n >= 1 labels receives 1/n on each of them; unlabeled
-    voxels get the zero vector.
-    """
-    counts = a.label_counts().astype(np.float64)
-    values = np.zeros(a.masks.shape, dtype=np.float64)
-    np.divide(a.masks, counts, out=values, where=counts > 0)
-    return MembershipField(a.labels, values)
 
 
 def argmax_labels(

@@ -342,11 +342,11 @@ class TestInfoCommand:
     def test_missing_file_exits_2(self, tmp_path):
         assert run(["info", "--in", tmp_path / "nope.nii"]) == 2
 
-    # vox_offset inf / NaN / fractional, scl_slope NaN, pixdim[1] NaN
+    # vox_offset inf / NaN / fractional, scl_slope NaN, pixdim[1] NaN / negative
     @pytest.mark.parametrize(
         "offset, value",
         [(108, float("inf")), (108, float("nan")), (108, 352.5), (112, float("nan")),
-         (80, float("nan"))],
+         (80, float("nan")), (80, -1.0)],
     )
     def test_corrupt_header_field_exits_2(self, tmp_path, capsys, offset, value):
         vol = Volume3D(np.linspace(0, 1, 8).reshape(2, 2, 2), "intensity")

@@ -5,7 +5,6 @@ from voxprop import (
     ConvergenceFailure,
     LabelSet,
     NoSeeds,
-    SeedlessComponent,
     SolverConfig,
     TooLarge,
     assemble,
@@ -117,15 +116,37 @@ class TestSolveLabel:
         x = solve_label(sys_, 2)
         assert np.array_equal(x, np.zeros(2))
 
-    def test_seedless_component_raises(self):
-        roi = np.zeros((5, 1, 1), bool)
-        roi[0:2] = True
-        roi[3:5] = True
-        graph = build_lattice(make_intensity(np.zeros((5, 1, 1))), make_mask(roi), 0.0)
-        sys_ = assemble(graph, {0: 1})
-        with pytest.raises(SeedlessComponent) as exc:
-            solve_label(sys_, 1)
-        assert exc.value.component_ids == (1,)
+    def test_seedless_chain_left_out_of_the_system(self, rng):
+        # x = 0..2 is a chain with no seed (a pocket); x = 4..8 a seeded chain
+        dims = (9, 1, 1)
+        guidance = make_intensity(rng.random(dims))
+        roi = np.ones(dims, bool)
+        roi[3] = False
+        seeded_only = roi.copy()
+        seeded_only[:3] = False
+        labels = LabelSet.from_ids([1, 2, 3])
+        both = assemble(
+            build_lattice(guidance, make_mask(roi), 5.0), {3: 1, 5: 3, 7: 2}, labels
+        )
+        alone = assemble(
+            build_lattice(guidance, make_mask(seeded_only), 5.0), {0: 1, 2: 3, 4: 2}, labels
+        )
+        pocket, rest = np.arange(3), np.arange(3, 8)
+        assert both.seedless_components == (0,)
+        assert np.array_equal(both.component_of_node, [0, 0, 0, 1, 1, 1, 1, 1])
+        assert np.array_equal(both.unseeded, [4, 6])
+        assert (both.L_U != alone.L_U).nnz == 0 and (both.B != alone.B).nnz == 0
+
+        for solve in (solve_all, dense_reference_solve):
+            got, ref = solve(both).values, solve(alone).values
+            assert not got[pocket].any()
+            assert got[rest].tobytes() == ref.tobytes()
+        for lab in labels.ids:
+            x = solve_label(both, lab)
+            full = np.zeros(both.n_nodes)
+            full[both.unseeded] = x
+            assert not full[pocket].any()
+            assert x.tobytes() == solve_label(alone, lab).tobytes()
 
     def test_convergence_failure_reports_residual(self):
         graph = uniform_chain(40)
@@ -201,12 +222,14 @@ class TestSolveAll:
         sys_ = assemble(graph, seeds)
         cfg = SolverConfig()
         field = solve_all(sys_, cfg)
-        adj = graph.adjacency()
-        deg = np.asarray(adj.sum(axis=1)).ravel()
+        ei, ej, w = graph.edges_i, graph.edges_j, graph.weights
+        deg = np.bincount(ei, w, graph.n_nodes) + np.bincount(ej, w, graph.n_nodes)
         unseeded = sys_.unseeded
         for col in range(field.values.shape[1]):
             x = field.values[:, col]
-            avg = adj @ x / deg
+            weighted = np.bincount(ei, w * x[ej], graph.n_nodes)
+            weighted += np.bincount(ej, w * x[ei], graph.n_nodes)
+            avg = weighted / deg
             tol = 10 * cfg.rel_tol * max(np.abs(x).max(), 1.0)
             assert np.abs(x[unseeded] - avg[unseeded]).max() <= tol
 

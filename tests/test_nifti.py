@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from voxprop import (
     BadMagic,
@@ -13,6 +15,7 @@ from voxprop import (
     TruncatedFile,
     UnsupportedDatatype,
     Volume3D,
+    VoxpropError,
     read_annotation,
     read_header,
     read_volume,
@@ -201,6 +204,51 @@ def test_non_finite_geometry_rejected(tmp_path, offset):
     path = _corrupt(tmp_path, "mask", offset, float("nan"))
     with pytest.raises(NonFiniteInput):
         read_volume(path, "mask")
+
+
+@pytest.mark.parametrize("offset", [80, 84, 88])  # pixdim[1..3]
+@pytest.mark.parametrize("value", [0.0, -1.0])
+def test_non_positive_spacing_rejected(tmp_path, offset, value):
+    path = _corrupt(tmp_path, "intensity", offset, value)
+    with pytest.raises(BadMagic):
+        read_header(path)
+    with pytest.raises(BadMagic):
+        read_volume(path, "intensity")
+
+
+@pytest.fixture(scope="module")
+def float_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "valid.nii"
+    write_volume(_volume("intensity"), path)
+    return path
+
+
+_header_mutations = st.lists(
+    st.one_of(
+        st.tuples(st.integers(0, DATA_OFFSET - 1), st.binary(min_size=1, max_size=1)),
+        st.tuples(
+            st.integers(0, DATA_OFFSET // 4 - 1).map(lambda i: 4 * i),
+            st.floats(width=32).map(lambda f: struct.pack("<f", f)),
+        ),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutations=_header_mutations)
+def test_header_mutation_gives_volume_or_voxprop_error(float_file, mutations):
+    raw = bytearray(float_file.read_bytes())
+    for offset, value in mutations:
+        raw[offset:offset + len(value)] = value
+    path = float_file.with_name("mutated.nii")
+    path.write_bytes(bytes(raw))
+    try:
+        vol = read_volume(path, "intensity")
+    except VoxpropError:
+        return
+    assert isinstance(vol, Volume3D)
 
 
 def test_labels_never_scaled(tmp_path):

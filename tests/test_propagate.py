@@ -2,6 +2,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import ndimage
 
 from voxprop import (
     BACKGROUND_ID,
@@ -19,6 +22,7 @@ from voxprop import (
 from voxprop.propagate import PropagationRequest
 
 from conftest import annotation_from_sets, full_mask, make_intensity, make_mask
+from helpers import brute_force_edges, dense_dirichlet
 
 
 LABELS = LabelSet(((2, "A"), (5, "B")))
@@ -456,3 +460,77 @@ def test_pocket_carve_out_matches_smaller_roi(rng):
     for a, b in zip(carved.soft, smaller.soft):
         assert a.data[solved].tobytes() == b.data[solved].tobytes()
     assert np.array_equal(carved.hard.data[solved], smaller.hard.data[solved])
+
+
+@st.composite
+def pocket_requests(draw):
+    """A random small lattice cut by a non-roi wall plane; the side past the
+    wall loses its annotation on half the draws, and isolated roi voxels
+    without a seed form further pockets."""
+    dims = (draw(st.integers(3, 6)), draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    wall = draw(st.integers(1, dims[0] - 2))
+    labels = LabelSet.from_ids(draw(st.sampled_from([[2, 5], [2, 5, 7]])))
+    roi = rng.random(dims) < draw(st.sampled_from([0.6, 0.85, 1.0]))
+    roi[wall] = False
+    roi[0, 0, 0] = True
+    masks = np.zeros((len(labels),) + dims, bool)
+    lab = rng.integers(0, len(labels), dims)
+    voxels = tuple(np.indices(dims))
+    masks[(lab,) + voxels] = rng.random(dims) < 0.3
+    masks[((lab + 1) % len(labels),) + voxels] |= rng.random(dims) < 0.05  # conflicts
+    if draw(st.booleans()):
+        masks[:, wall + 1:] = False
+    masks[:, 0, 0, 0] = False
+    masks[0, 0, 0, 0] = True  # at least one seed in the roi
+    return PropagationRequest(
+        guidance=make_intensity(rng.random(dims)),
+        roi=make_mask(roi),
+        annotation=MultiLabelAnnotation(labels, masks),
+        # white-noise guidance, so beta stays low as in the acceptance oracle:
+        # at beta 50, clusters joined only by floored edges can stop CG early
+        beta=draw(st.sampled_from([0.0, 1.0, 10.0])),
+        seedless_policy=draw(st.sampled_from(["background", "nearest_seed"])),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(req=pocket_requests())
+def test_propagate_properties_with_pockets(req):
+    res = propagate(req)
+    labels, roi = req.label_set, req.roi.data
+    counts = req.annotation.label_counts()
+    seeds = (counts == 1) & roi
+    seed_label = np.asarray(labels.ids)[np.argmax(req.annotation.masks, axis=0)]
+    comp, _ = ndimage.label(roi)  # 6-connected components, independent of voxprop
+    seeded_comps = np.unique(comp[seeds])
+    pocket = roi & ~np.isin(comp, seeded_comps)
+    solved = roi & ~pocket
+    soft = np.stack([v.data for v in res.soft], axis=-1)
+    hard = res.hard.data
+    assert res.report["n_seedless_voxels"] == int(pocket.sum())
+
+    # seed fixity
+    assert np.array_equal(hard[seeds], seed_label[seeds])
+    one_hot = soft[seeds] == (seed_label[seeds, None] == np.asarray(labels.ids))
+    assert one_hot.all()
+    # simplex on the solved voxels
+    assert np.abs(soft[solved].sum(axis=-1) - 1.0).max() <= 1e-6
+    assert soft.min() >= 0.0 and soft.max() <= 1.0
+    # pockets follow the policy
+    if req.seedless_policy == "background":
+        assert not soft[pocket].any()
+        assert (hard[pocket] == BACKGROUND_ID).all()
+    else:
+        assert np.isin(soft[pocket], (0.0, 1.0)).all()
+        assert (soft[pocket].sum(axis=-1) == 1.0).all()
+        cols = np.argmax(soft[pocket], axis=-1)
+        assert np.array_equal(hard[pocket], np.asarray(labels.ids)[cols])
+    assert not soft[~roi].any() and (hard[~roi] == BACKGROUND_ID).all()
+
+    # the solved part agrees with an exact dense solve on it alone
+    n, node_of, edges = brute_force_edges(solved, req.guidance.data, req.beta)
+    node_seeds = {i: int(seed_label[v]) for v, i in node_of.items() if seeds[v]}
+    ref = dense_dirichlet(n, edges, node_seeds, labels.ids)
+    got = np.array([soft[v] for v in node_of])
+    assert np.abs(got - ref).max() <= 1e-6

@@ -15,7 +15,6 @@ from voxprop import (
     min_max_normalize,
     read_labelset,
     strip_conflicts,
-    to_membership,
     write_labelset,
 )
 
@@ -215,42 +214,6 @@ class TestStripConflicts:
         seeds, conflicts = strip_conflicts(ann)
         assert not seeds.data.any()
         assert not conflicts.data.any()
-
-
-class TestToMembership:
-    def test_singleton_full_mass(self):
-        ann = annotation_from_sets(LABELS, (1, 1, 1), {(0, 0, 0): {2}})
-        field = to_membership(ann)
-        assert field.values[0, 0, 0, 0] == 1.0
-        assert field.values[1:, 0, 0, 0].sum() == 0.0
-
-    def test_pair_half_each(self):
-        ann = annotation_from_sets(LABELS, (1, 1, 1), {(0, 0, 0): {2, 5}})
-        field = to_membership(ann)
-        assert field.values[0, 0, 0, 0] == 0.5
-        assert field.values[1, 0, 0, 0] == 0.5
-
-    def test_four_way_quarter_each(self):
-        ann = annotation_from_sets(LABELS, (1, 1, 1), {(0, 0, 0): {2, 5, 7, 9}})
-        field = to_membership(ann)
-        assert np.array_equal(field.values[:, 0, 0, 0], [0.25] * 4)
-
-    def test_unlabeled_zero_vector(self):
-        ann = annotation_from_sets(LABELS, (1, 1, 1), {})
-        assert to_membership(ann).values.sum() == 0.0
-
-    def test_conflict_free_matches_seed_indicator(self, rng):
-        # strip_conflicts then to_membership equals the one-hot of the seeds
-        dims = (3, 4, 2)
-        sets = {}
-        for voxel in np.ndindex(dims):
-            if rng.random() < 0.6:
-                sets[voxel] = {int(rng.choice(LABELS.ids))}
-        ann = annotation_from_sets(LABELS, dims, sets)
-        seeds, _ = strip_conflicts(ann)
-        field = to_membership(ann)
-        for k, lab in enumerate(LABELS.ids):
-            assert np.array_equal(field.values[k] == 1.0, seeds.data == lab)
 
 
 class TestArgmaxLabels:
