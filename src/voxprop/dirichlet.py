@@ -11,8 +11,9 @@ one-hot indicator of the label over the seeds. Row sums of [L_U | B] are
 zero by construction.
 
 Nodes of a component with no seed (a pocket) join neither S nor U, so L_U
-is always SPD: a walker there never reaches a seed, and the solvers give
-pocket nodes the exact answer, a zero row.
+is always SPD: a walker there never reaches a seed. The solvers return x_U
+only, one row per unseeded node in `unseeded` order; seeds and pockets have
+no row, and their voxels are the caller's to fill.
 
 Per label the system is solved with Jacobi-preconditioned conjugate
 gradients; the last label is recovered by simplex closure (1 minus the
@@ -119,14 +120,14 @@ class DirichletSystem:
 
 @dataclass(frozen=True)
 class ProbabilityField:
-    """Per-node label probabilities, rows over nodes, columns over labels.
+    """Label probabilities of the unseeded nodes, columns over labels.
 
-    Seeded nodes are exactly one-hot; unseeded rows sum to 1 and lie in
-    [0, 1] up to solver tolerance (clamped). Rows of nodes in seedless
-    components are zero.
+    Rows follow `DirichletSystem.unseeded`; seeds and seedless pockets have
+    no row. Rows sum to 1 and lie in [0, 1] up to solver tolerance
+    (clamped).
     """
 
-    values: np.ndarray  # float64 (n_nodes, m)
+    values: np.ndarray  # float64 (n_unseeded, m)
     label_ids: tuple[int, ...]
     stats: tuple[LabelSolveStats, ...] = field(default=())
 
@@ -319,8 +320,8 @@ def solve_label(
 
     Returns the solution of ``L_U x = -B m_label``, ordered like
     `sys.unseeded`; a label with no seeds anywhere yields the zero vector
-    without iterating. Nodes of seedless components are not in
-    `sys.unseeded`; their probability is zero.
+    without iterating. Seeds and nodes of seedless components are not in
+    `sys.unseeded` and have no entry.
 
     Raises
     ------
@@ -336,62 +337,43 @@ def solve_all(
     cfg: SolverConfig = SolverConfig(),
     workers: int = 1,
 ) -> ProbabilityField:
-    """Full probability field over all nodes and labels.
+    """Probabilities of every label over the unseeded nodes.
 
-    Solves m - 1 labels independently (optionally in `workers` threads) and
-    closes the simplex by assigning the remaining mass to the largest label
-    id. Seeded nodes are exact one-hot rows; nodes of seedless components
-    get zero rows. Tiny negative drift is clamped to [0, 1]; rows whose sum
-    moved more than 1e-6 from 1 are renormalized (logged). Drift beyond
-    1e-4 raises: that indicates a misconfigured solve, not roundoff.
+    Returns values of shape (n_unseeded, m), rows ordered like
+    `sys.unseeded`. Solves m - 1 labels independently (optionally in
+    `workers` threads) and closes the simplex by assigning the remaining
+    mass to the largest label id. Tiny negative drift is clamped to [0, 1];
+    rows whose sum moved more than 1e-6 from 1 are renormalized (logged).
+    Drift beyond 1e-4 raises: that indicates a misconfigured solve, not
+    roundoff.
     """
     label_ids = sys.label_ids
-    m = len(label_ids)
-    n = sys.n_nodes
-    values = np.zeros((n, m))
-    values[sys.seed_nodes, np.searchsorted(label_ids, sys.seed_labels)] = 1.0
-
-    stats: list[LabelSolveStats] = []
-    if sys.n_unseeded:
-        if m == 1:
-            # only one label and every component is seeded: mass is 1 everywhere
-            values[sys.unseeded, 0] = 1.0
-            stats.append(LabelSolveStats(label_ids[0], 0, 0.0, closure=True))
-        else:
-            head = label_ids[:-1]
-            if workers > 1 and len(head) > 1:
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    results = list(
-                        pool.map(lambda lab: _solve_one(sys, lab, cfg), head)
-                    )
-            else:
-                results = [_solve_one(sys, lab, cfg) for lab in head]
-            for k, (x, st) in enumerate(results):
-                values[sys.unseeded, k] = x
-                stats.append(st)
-            closure = 1.0 - values[sys.unseeded, : m - 1].sum(axis=1)
-            values[sys.unseeded, m - 1] = closure
-            stats.append(LabelSolveStats(label_ids[-1], 0, 0.0, closure=True))
+    head = label_ids[:-1] if sys.n_unseeded else ()
+    if workers > 1 and len(head) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(lambda lab: _solve_one(sys, lab, cfg), head))
     else:
-        stats = [LabelSolveStats(lab, 0, 0.0, closure=True) for lab in label_ids]
-
-    _finalize_probabilities(values, sys.unseeded)
+        results = [_solve_one(sys, lab, cfg) for lab in head]
+    values = np.empty((sys.n_unseeded, len(label_ids)))
+    for k, (x, _) in enumerate(results):
+        values[:, k] = x
+    values[:, -1] = 1.0 - values[:, :-1].sum(axis=1)
+    stats = [st for _, st in results]
+    stats += [LabelSolveStats(lab, 0, 0.0, closure=True) for lab in label_ids[len(head):]]
+    _finalize_probabilities(values)
     return ProbabilityField(values, label_ids, tuple(stats))
 
 
-def _finalize_probabilities(values: np.ndarray, rows: np.ndarray) -> None:
+def _finalize_probabilities(values: np.ndarray) -> None:
     """Clamp tiny out-of-range drift in-place and renormalize drifted rows."""
-    if rows.size == 0:
-        return
-    block = values[rows]
-    worst = max(float(-block.min(initial=0.0)), float(block.max(initial=1.0) - 1.0))
+    worst = max(float(-values.min(initial=0.0)), float(values.max(initial=1.0) - 1.0))
     if worst > PROB_HARD_LIMIT:
         raise ConvergenceFailure(
             f"probabilities violate [0, 1] by {worst:.3e} (> {PROB_HARD_LIMIT:.0e}); "
             "solver output is unusable"
         )
-    np.clip(block, 0.0, 1.0, out=block)
-    sums = block.sum(axis=1)
+    np.clip(values, 0.0, 1.0, out=values)
+    sums = values.sum(axis=1)
     drifted = np.abs(sums - 1.0) > PROB_EPS
     if drifted.any():
         log.warning(
@@ -399,15 +381,14 @@ def _finalize_probabilities(values: np.ndarray, rows: np.ndarray) -> None:
             int(drifted.sum()),
             PROB_EPS,
         )
-        block[drifted] /= sums[drifted, None]
-    values[rows] = block
+        values[drifted] /= sums[drifted, None]
 
 
 def dense_reference_solve(sys: DirichletSystem) -> ProbabilityField:
     """Ground-truth field via dense LAPACK factorization; test oracle only.
 
-    Solves every label directly (no closure) on the densified L_U; nodes
-    of seedless components get zero rows.
+    Solves every label directly (no closure) on the densified L_U; values
+    have shape (n_unseeded, m), rows ordered like `sys.unseeded`.
 
     Raises
     ------
@@ -418,15 +399,9 @@ def dense_reference_solve(sys: DirichletSystem) -> ProbabilityField:
     if n_u > 4096:
         raise TooLarge(f"{n_u} unseeded nodes exceeds the dense limit of 4096")
     label_ids = sys.label_ids
-    m = len(label_ids)
-    values = np.zeros((sys.n_nodes, m))
-    seed_cols = np.searchsorted(label_ids, sys.seed_labels)
-    values[sys.seed_nodes, seed_cols] = 1.0
-    if n_u:
-        M = np.zeros((sys.seed_nodes.size, m))
-        M[np.arange(sys.seed_nodes.size), seed_cols] = 1.0
-        rhs = -(sys.B @ M)
-        X = np.linalg.solve(sys.L_U.toarray(), rhs)
-        values[sys.unseeded] = X
+    n_s = sys.seed_nodes.size
+    M = np.zeros((n_s, len(label_ids)))
+    M[np.arange(n_s), np.searchsorted(label_ids, sys.seed_labels)] = 1.0
+    values = np.linalg.solve(sys.L_U.toarray(), -(sys.B @ M))
     stats = tuple(LabelSolveStats(lab, 0, 0.0) for lab in label_ids)
     return ProbabilityField(values, label_ids, stats)

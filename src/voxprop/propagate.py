@@ -118,13 +118,13 @@ def _nearest_seed_cols(fill_voxels, seeds: np.ndarray, labels: LabelSet, spacing
 
 
 def _solve_region(req: PropagationRequest, roi: Volume3D, seeds, conflicts, workers):
-    """Seeded Dirichlet solve over `roi`, and the fill of its seedless pockets.
+    """Seeded Dirichlet solve over `roi`, and the fill of its seeds and pockets.
 
     Only the voxels of the seed label volume `seeds` inside `roi` are
-    seeds. Returns ``(node_voxels, values)`` over the solved nodes, pockets
-    left out, with values (n_solved, m); the pocket fill ``(voxels, label
-    columns)``, empty unless the policy is nearest_seed; and the region's
-    report.
+    seeds. Returns ``(voxels, values)`` over the unseeded nodes, with
+    values (n_unseeded, m); the fills as ``(voxels, label columns)`` pairs,
+    the seeds first and then, under nearest_seed, the seedless pockets; and
+    the region's report.
     """
     labels = req.label_set
     seeds_in = (seeds > 0) & roi.data
@@ -137,8 +137,7 @@ def _solve_region(req: PropagationRequest, roi: Volume3D, seeds, conflicts, work
     seed_nodes = graph.node_ids.ravel(order="F")[seed_flat]
     system = assemble(graph, (seed_nodes, seed_labels), labels)
     n_components, seedless = system.n_components, system.seedless_components
-    pocket = np.isin(system.component_of_node, seedless)
-    pocket_voxels = graph.node_voxels[pocket]
+    pocket_voxels = graph.node_voxels[np.isin(system.component_of_node, seedless)]
     if seedless and req.seedless_policy == "error":
         raise SeedlessComponent(
             f"roi components {list(seedless)} contain no seed "
@@ -146,15 +145,15 @@ def _solve_region(req: PropagationRequest, roi: Volume3D, seeds, conflicts, work
             component_ids=seedless,
         )
     field_ = solve_all(system, req.solver, workers=workers)
-    node_voxels, values = graph.node_voxels, field_.values
-    if seedless:  # pocket rows are zero; the policy decides their voxels
-        node_voxels, values = node_voxels[~pocket], values[~pocket]
+    solved = (graph.node_voxels[system.unseeded], field_.values)
 
-    fill = (pocket_voxels[:0], pocket_voxels[:0])
+    fills = [(seed_flat, np.searchsorted(labels.ids, seed_labels))]
+    n_filled = 0
     if seedless and req.seedless_policy == "nearest_seed":
         own_seeds = np.where(seeds_in, seeds, BACKGROUND_ID)
         cols = _nearest_seed_cols(pocket_voxels, own_seeds, labels, roi.spacing)
-        fill = (pocket_voxels, cols)
+        fills.append((pocket_voxels, cols))
+        n_filled = pocket_voxels.size
 
     stats = [
         {
@@ -167,30 +166,30 @@ def _solve_region(req: PropagationRequest, roi: Volume3D, seeds, conflicts, work
         for s in field_.stats
     ]
     report = {
-        "n_nodes": int(node_voxels.size),
+        "n_nodes": int(graph.n_nodes - pocket_voxels.size),
         "n_unseeded": int(system.n_unseeded),
         "n_seeds": int(seed_nodes.size),
         "n_conflicts_cleared": int((conflicts & roi.data).sum()),
         "n_components": n_components,
         "seedless_components": list(seedless),
         "n_seedless_voxels": int(pocket_voxels.size),
-        "n_policy_filled": int(fill[0].size),
+        "n_policy_filled": int(n_filled),
         "policy": req.seedless_policy,
         "beta": float(req.beta),
         "rel_tol": float(req.solver.rel_tol),
         "labels": stats,
         "total_iterations": int(sum(s["iterations"] for s in stats)),
     }
-    return (node_voxels, values), fill, report
+    return solved, fills, report
 
 
 def _write_volumes(like: Volume3D, labels: LabelSet, solved, fills):
     """Scatter node-space results and fills into soft volumes and a hard map.
 
-    `solved` holds ``(node_voxels, values)`` pairs and `fills` holds
-    ``(voxels, label columns)`` pairs, which get one-hot rows. A hard voxel
-    takes its row's argmax, ties going to the smallest label id. Voxels in
-    neither stay background with zero probabilities.
+    `solved` holds ``(voxels, values)`` pairs and `fills` holds ``(voxels,
+    label columns)`` pairs, seeds and policy fills alike, which get one-hot
+    rows. A hard voxel takes its row's argmax, ties going to the smallest
+    label id. Voxels in neither stay background with zero probabilities.
     """
     ids = np.asarray(labels.ids, dtype=np.uint16)
     hard = np.full(like.n_voxels, BACKGROUND_ID, dtype=np.uint16)
@@ -223,10 +222,10 @@ def propagate(req: PropagationRequest, workers: int = 1) -> PropagationResult:
     n_outside = int(((seeds_vol.data > 0) & ~req.roi.data).sum())
     if n_outside:
         log.warning("dropping %d seeds outside the roi", n_outside)
-    solved, fill, report = _solve_region(
+    solved, fills, report = _solve_region(
         req, req.roi, seeds_vol.data, conflict_vol.data, workers
     )
-    soft, hard = _write_volumes(req.roi, req.label_set, [solved], [fill])
+    soft, hard = _write_volumes(req.roi, req.label_set, [solved], fills)
     report = {"n_seeds_outside_roi": n_outside, **report}
     return PropagationResult(req.label_set, soft, hard, report)
 
@@ -276,7 +275,7 @@ def propagate_bilateral(
         raise SeedlessComponent(
             f"{n_gap} roi voxels lie outside both hemisphere masks"
         )
-    fills = [fill for _, fill, _ in halves]
+    fills = [f for _, region_fills, _ in halves for f in region_fills]
     n_gap_filled = 0
     if n_gap and req.seedless_policy == "nearest_seed":
         gap_voxels = np.flatnonzero(gap.ravel(order="F"))

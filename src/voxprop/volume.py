@@ -323,9 +323,11 @@ def strip_conflicts(a: MultiLabelAnnotation) -> tuple[Volume3D, Volume3D]:
         1 exactly where two or more labels were assigned.
     """
     counts = a.label_counts()
-    ids = np.asarray(a.labels.ids, dtype=np.int64)
-    summed = (ids[:, None, None, None] * a.masks).sum(axis=0)
-    seeds = np.where(counts == 1, summed, BACKGROUND_ID).astype(np.uint16)
+    # the masks' memory layout: masked writes across layouts are strided
+    seeds = np.zeros_like(a.masks[0], dtype=np.uint16)
+    for lab, mask in zip(a.labels.ids, a.masks):
+        seeds[mask] = lab
+    seeds[counts != 1] = BACKGROUND_ID
     conflicts = counts >= 2
     return (
         Volume3D(seeds, "label", a.spacing, a.origin),

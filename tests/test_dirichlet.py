@@ -131,21 +131,19 @@ class TestSolveLabel:
         alone = assemble(
             build_lattice(guidance, make_mask(seeded_only), 5.0), {0: 1, 2: 3, 4: 2}, labels
         )
-        pocket, rest = np.arange(3), np.arange(3, 8)
         assert both.seedless_components == (0,)
         assert np.array_equal(both.component_of_node, [0, 0, 0, 1, 1, 1, 1, 1])
         assert np.array_equal(both.unseeded, [4, 6])
         assert (both.L_U != alone.L_U).nnz == 0 and (both.B != alone.B).nnz == 0
 
+        # every solver returns the two unseeded rows only: no pocket rows
         for solve in (solve_all, dense_reference_solve):
             got, ref = solve(both).values, solve(alone).values
-            assert not got[pocket].any()
-            assert got[rest].tobytes() == ref.tobytes()
+            assert got.shape == (2, 3)
+            assert got.tobytes() == ref.tobytes()
         for lab in labels.ids:
             x = solve_label(both, lab)
-            full = np.zeros(both.n_nodes)
-            full[both.unseeded] = x
-            assert not full[pocket].any()
+            assert x.shape == (2,)
             assert x.tobytes() == solve_label(alone, lab).tobytes()
 
     def test_convergence_failure_reports_residual(self):
@@ -161,14 +159,12 @@ class TestSolveAll:
     def test_single_label_all_ones(self):
         sys_ = assemble(uniform_chain(5), {0: 7, 4: 7})
         field = solve_all(sys_)
-        assert np.array_equal(field.values, np.ones((5, 1)))
+        assert np.array_equal(field.values, np.ones((3, 1)))
 
     def test_three_node_field(self):
         sys_ = assemble(uniform_chain(3), {0: 1, 2: 2})
         field = solve_all(sys_)
-        assert np.allclose(
-            field.values, [[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]], atol=1e-9
-        )
+        assert np.allclose(field.values, [[0.5, 0.5]], atol=1e-9)
 
     def test_grid_center_half_half(self):
         # 3x3x1 uniform grid, two adjacent corners seeded A, the other two B
@@ -186,21 +182,8 @@ class TestSolveAll:
         field = solve_all(sys_)
         ref = dense_reference_solve(sys_)
         assert np.allclose(field.values, ref.values, atol=1e-8)
-        center = int(ids[1, 1])
+        center = np.searchsorted(sys_.unseeded, int(ids[1, 1]))
         assert field.values[center] == pytest.approx([0.5, 0.5], abs=1e-9)
-
-    def test_seeded_rows_one_hot(self, rng):
-        graph = build_lattice(
-            make_intensity(rng.random((4, 4, 4))), full_mask((4, 4, 4)), 1.0
-        )
-        nodes = rng.choice(graph.n_nodes, size=10, replace=False)
-        seeds = {int(n): int(rng.integers(1, 4)) for n in nodes}
-        sys_ = assemble(graph, seeds, LabelSet.from_ids([1, 2, 3]))
-        field = solve_all(sys_)
-        for n, lab in seeds.items():
-            row = field.values[n]
-            assert row[[1, 2, 3].index(lab)] == 1.0
-            assert row.sum() == 1.0
 
     def test_rows_sum_to_one_and_in_range(self, rng):
         intensity, _ = blobby_field((6, 6, 6), 3, rng)
@@ -225,8 +208,10 @@ class TestSolveAll:
         ei, ej, w = graph.edges_i, graph.edges_j, graph.weights
         deg = np.bincount(ei, w, graph.n_nodes) + np.bincount(ej, w, graph.n_nodes)
         unseeded = sys_.unseeded
-        for col in range(field.values.shape[1]):
-            x = field.values[:, col]
+        for col, lab in enumerate(sys_.label_ids):
+            x = np.zeros(graph.n_nodes)  # seeds one-hot, then the solved rows
+            x[sys_.seed_nodes] = sys_.seed_labels == lab
+            x[unseeded] = field.values[:, col]
             weighted = np.bincount(ei, w * x[ej], graph.n_nodes)
             weighted += np.bincount(ej, w * x[ei], graph.n_nodes)
             avg = weighted / deg
@@ -261,7 +246,7 @@ class TestSolveAll:
         L = 20
         sys_ = assemble(uniform_chain(L), {0: 1, L - 1: 2})
         field = solve_all(sys_)
-        k = np.arange(L)
+        k = np.arange(1, L - 1)  # the interior is the unseeded chain
         expect = 1.0 - k / (L - 1)
         assert np.abs(field.column(1) - expect).max() < 1e-8
 
@@ -282,7 +267,7 @@ class TestSolveAll:
         edges = list(
             zip(graph.edges_i.tolist(), graph.edges_j.tolist(), graph.weights.tolist())
         )
-        ref = dense_dirichlet(graph.n_nodes, edges, seeds, [1, 2, 3])
+        ref = dense_dirichlet(graph.n_nodes, edges, seeds, [1, 2, 3])[sys_.unseeded]
         assert np.abs(field.values - ref).max() < 1e-7
 
     def test_stats_per_label(self):
@@ -303,8 +288,8 @@ class TestSolveAll:
         # every seed carries the largest label: zero solves, closure gives 1
         sys_ = assemble(uniform_chain(4), {0: 2, 3: 2}, LabelSet.from_ids([1, 2]))
         field = solve_all(sys_)
-        assert np.array_equal(field.column(2), np.ones(4))
-        assert np.array_equal(field.column(1), np.zeros(4))
+        assert np.array_equal(field.column(2), np.ones(2))
+        assert np.array_equal(field.column(1), np.zeros(2))
         assert field.stats[0].iterations == 0  # zero rhs shortcut
 
     def test_workers_match_serial(self, rng):
@@ -331,13 +316,13 @@ class TestDenseReferenceSolve:
     def test_three_node_midpoint(self):
         sys_ = assemble(uniform_chain(3), {0: 1, 2: 2})
         ref = dense_reference_solve(sys_)
-        assert ref.values[1] == pytest.approx([0.5, 0.5], abs=1e-12)
+        assert ref.values[0] == pytest.approx([0.5, 0.5], abs=1e-12)
 
     def test_four_node_gamblers_ruin(self):
         sys_ = assemble(uniform_chain(4), {0: 1, 3: 2})
         ref = dense_reference_solve(sys_)
-        assert ref.values[1, 0] == pytest.approx(2.0 / 3.0, abs=1e-12)
-        assert ref.values[2, 0] == pytest.approx(1.0 / 3.0, abs=1e-12)
+        assert ref.values[0, 0] == pytest.approx(2.0 / 3.0, abs=1e-12)
+        assert ref.values[1, 0] == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_agrees_with_iterative(self, rng):
         intensity, _ = blobby_field((5, 6, 4), 3, rng)
@@ -353,7 +338,7 @@ class TestDenseReferenceSolve:
 class TestFinalizeProbabilities:
     def test_tiny_negative_clamped_and_renormalized(self):
         values = np.array([[1.0000004, -4e-7], [0.5, 0.5]])
-        _finalize_probabilities(values, np.array([0, 1]))
+        _finalize_probabilities(values)
         assert values.min() >= 0.0
         assert values.max() <= 1.0
         assert np.allclose(values.sum(axis=1), 1.0, atol=1e-6)
@@ -361,12 +346,7 @@ class TestFinalizeProbabilities:
     def test_large_violation_is_hard_error(self):
         values = np.array([[1.2, -0.2]])
         with pytest.raises(ConvergenceFailure):
-            _finalize_probabilities(values, np.array([0]))
-
-    def test_seeded_rows_untouched(self):
-        values = np.array([[1.0, 0.0], [2.0, -1.0]])
-        _finalize_probabilities(values, np.array([0]))  # only row 0 is "unseeded"
-        assert values[1].tolist() == [2.0, -1.0]
+            _finalize_probabilities(values)
 
 
 def test_white_noise_beta1e4_conditioning_limit(rng):
@@ -384,3 +364,20 @@ def test_white_noise_beta1e4_conditioning_limit(rng):
     ref = dense_reference_solve(sys_)
     gap = np.abs(it.values - ref.values).max()
     assert gap < 1e-2  # loose by necessity; see docstring
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the relative stopping test of _pcg is met while nodes linked to "
+    "their only seed by floored edges are still at 0; closure then gives them "
+    "the largest label (ROADMAP item 2)",
+)
+def test_floored_cluster_stops_early_white_noise_beta50():
+    rng = np.random.default_rng(1821)
+    dims = (4, 2, 2)
+    graph = build_lattice(make_intensity(rng.random(dims)), full_mask(dims), 50.0)
+    k = rng.integers(2, 5)
+    nodes = rng.choice(graph.n_nodes, k, replace=False)
+    sys_ = assemble(graph, (nodes, rng.choice([2, 5], k)), LabelSet.from_ids([2, 5]))
+    gap = np.abs(solve_all(sys_).values - dense_reference_solve(sys_).values).max()
+    assert gap <= 1e-6  # the oracle tolerance of test_oracle_equivalence

@@ -98,6 +98,24 @@ class TestPropagate:
             if len(ids) == 1:
                 assert res.hard.data[v] == next(iter(ids))
 
+    def test_seeded_rows_one_hot(self, rng):
+        # the solver has no seed rows; the volume writer puts them in one-hot
+        dims = (4, 4, 4)
+        labels = LabelSet.from_ids([1, 2, 3])
+        voxels = rng.choice(64, size=10, replace=False)
+        sets = {np.unravel_index(v, dims): {int(rng.integers(1, 4))} for v in voxels}
+        req = PropagationRequest(
+            guidance=make_intensity(rng.random(dims)),
+            roi=full_mask(dims),
+            annotation=annotation_from_sets(labels, dims, sets),
+            beta=1.0,
+        )
+        soft = np.stack([v.data for v in propagate(req).soft], axis=-1)
+        for v, (lab,) in sets.items():
+            row = soft[v]
+            assert row[labels.index(lab)] == 1.0
+            assert row.sum() == 1.0
+
     def test_conflict_voxels_all_resolved(self, rng):
         dims = (3, 3, 3)
         sets = {(0, 0, 0): {2}, (2, 2, 2): {5}}
