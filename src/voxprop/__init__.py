@@ -16,141 +16,119 @@ Typical use::
     result.soft        # per-label Volume3D[probability]
 """
 
-from .dirichlet import (
-    DirichletSystem,
-    LabelSolveStats,
-    ProbabilityField,
-    SolverConfig,
-    assemble,
-    dense_reference_solve,
-    solve_all,
-    solve_label,
-)
-from .errors import (
-    BadMagic,
-    BadSpec,
-    ConstantVolume,
-    ConvergenceFailure,
-    DimMismatch,
-    EmptyRoi,
-    IoFailure,
-    NoSeeds,
-    NoSeedsInRoi,
-    NonFiniteInput,
-    OverlappingHemispheres,
-    PathCountMismatch,
-    SeedlessComponent,
-    TargetTooLarge,
-    TooFewMaps,
-    TooLarge,
-    TruncatedFile,
-    UnsupportedDatatype,
-    VoxpropError,
-)
-from .fusion import (
-    ClassDice,
-    DiceReport,
-    build_eval_mask,
-    dice,
-    dice_report,
-    majority_vote,
-)
-from .lattice import (
-    W_FLOOR,
-    LatticeGraph,
-    build_lattice,
-    connected_components,
-    edge_weight,
-)
-from .nifti import (
-    NiftiHeader,
-    read_annotation,
-    read_header,
-    read_volume,
-    write_volume,
-)
-from .phantom import Phantom, PhantomBlob, PhantomSpec, make_phantom
-from .propagate import (
-    PropagationRequest,
-    PropagationResult,
-    propagate,
-    propagate_bilateral,
-)
-from .volume import (
-    BACKGROUND_ID,
-    LabelSet,
-    MultiLabelAnnotation,
-    Volume3D,
-    argmax_labels,
-    center_crop,
-    min_max_normalize,
-    read_labelset,
-    strip_conflicts,
-    write_labelset,
-)
+import importlib
+import sys
+import types
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BACKGROUND_ID",
-    "BadMagic",
-    "BadSpec",
-    "ClassDice",
-    "ConstantVolume",
-    "ConvergenceFailure",
-    "DiceReport",
-    "DimMismatch",
-    "DirichletSystem",
-    "EmptyRoi",
-    "IoFailure",
-    "LabelSet",
-    "LabelSolveStats",
-    "LatticeGraph",
-    "MultiLabelAnnotation",
-    "NiftiHeader",
-    "NoSeeds",
-    "NoSeedsInRoi",
-    "NonFiniteInput",
-    "OverlappingHemispheres",
-    "PathCountMismatch",
-    "Phantom",
-    "PhantomBlob",
-    "PhantomSpec",
-    "ProbabilityField",
-    "PropagationRequest",
-    "PropagationResult",
-    "SeedlessComponent",
-    "SolverConfig",
-    "TargetTooLarge",
-    "TooFewMaps",
-    "TooLarge",
-    "TruncatedFile",
-    "UnsupportedDatatype",
-    "Volume3D",
-    "VoxpropError",
-    "W_FLOOR",
-    "argmax_labels",
-    "assemble",
-    "build_eval_mask",
-    "build_lattice",
-    "center_crop",
-    "connected_components",
-    "dense_reference_solve",
-    "dice",
-    "dice_report",
-    "edge_weight",
-    "majority_vote",
-    "make_phantom",
-    "min_max_normalize",
-    "propagate",
-    "propagate_bilateral",
-    "read_annotation",
-    "read_header",
-    "read_labelset",
-    "read_volume",
-    "solve_all",
-    "solve_label",
-    "strip_conflicts",
-    "write_labelset",
-    "write_volume",
-]
+#: Public names by submodule. A submodule is imported when one of its names
+#: is first used, so commands that need no solver never load scipy.
+_EXPORTS = {
+    "dirichlet": (
+        "DirichletSystem",
+        "LabelSolveStats",
+        "ProbabilityField",
+        "SolverConfig",
+        "assemble",
+        "dense_reference_solve",
+        "solve_all",
+        "solve_label",
+    ),
+    "errors": (
+        "BadMagic",
+        "BadSpec",
+        "ConstantVolume",
+        "ConvergenceFailure",
+        "DimMismatch",
+        "EmptyRoi",
+        "IoFailure",
+        "NoSeeds",
+        "NoSeedsInRoi",
+        "NonFiniteInput",
+        "OverlappingHemispheres",
+        "PathCountMismatch",
+        "SeedlessComponent",
+        "TargetTooLarge",
+        "TooFewMaps",
+        "TooLarge",
+        "TruncatedFile",
+        "UnsupportedDatatype",
+        "VoxpropError",
+    ),
+    "fusion": (
+        "ClassDice",
+        "DiceReport",
+        "build_eval_mask",
+        "dice",
+        "dice_report",
+        "majority_vote",
+    ),
+    "lattice": (
+        "LatticeGraph",
+        "W_FLOOR",
+        "build_lattice",
+        "connected_components",
+        "edge_weight",
+    ),
+    "nifti": (
+        "NiftiHeader",
+        "read_annotation",
+        "read_header",
+        "read_volume",
+        "write_volume",
+    ),
+    "phantom": (
+        "Phantom",
+        "PhantomBlob",
+        "PhantomSpec",
+        "make_phantom",
+    ),
+    "propagate": (
+        "PropagationRequest",
+        "PropagationResult",
+        "propagate",
+        "propagate_bilateral",
+    ),
+    "volume": (
+        "BACKGROUND_ID",
+        "LabelSet",
+        "MultiLabelAnnotation",
+        "Volume3D",
+        "argmax_labels",
+        "center_crop",
+        "min_max_normalize",
+        "read_labelset",
+        "strip_conflicts",
+        "write_labelset",
+    ),
+}
+
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))
+
+
+class _Package(types.ModuleType):
+    def __setattr__(self, name, value):
+        # importing the submodule voxprop.propagate binds it here, whoever
+        # imports it first; the package name stays the function
+        if name == "propagate" and isinstance(value, types.ModuleType):
+            value = value.propagate
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

@@ -17,11 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from . import nifti
-from .dirichlet import SolverConfig
 from .errors import ConvergenceFailure, SeedlessComponent, VoxpropError
 from .fusion import build_eval_mask, dice_report, majority_vote
 from .phantom import PhantomSpec, make_phantom
-from .propagate import PropagationRequest, propagate
 from .volume import read_labelset, write_labelset
 
 EXIT_OK = 0
@@ -35,6 +33,10 @@ def _fail(msg: str, code: int) -> int:
 
 
 def cmd_propagate(args) -> int:
+    # the solver stack (scipy) loads here only: the other commands need numpy alone
+    from .dirichlet import SolverConfig
+    from .propagate import PropagationRequest, propagate
+
     labels = read_labelset(args.labels)
     guidance = nifti.read_volume(args.guidance, "intensity")
     roi = nifti.read_volume(args.roi, "mask")

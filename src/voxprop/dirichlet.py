@@ -10,13 +10,20 @@ where L_U is the U-U block, B the U-S coupling block, and m_label the
 one-hot indicator of the label over the seeds. Row sums of [L_U | B] are
 zero by construction.
 
-Nodes of a component with no seed (a pocket) join neither S nor U, so L_U
-is always SPD: a walker there never reaches a seed. The solvers return x_U
-only, one row per unseeded node in `unseeded` order; seeds and pockets have
-no row, and their voxels are the caller's to fill.
+The nodes are voxels. `assemble` visits only the unseeded roi voxels and
+their six neighbours, since the U-U and U-S edges are all the system needs;
+seed-seed edges are never built. The connected components of the U-U graph
+are the blocks of L_U. A block with no edge to a seed (a pocket) joins
+neither S nor U, so L_U is always SPD: a walker there never reaches a seed.
+The solvers return x_U only, one row per unseeded voxel in `unseeded`
+order; seeds and pockets have no row, and their voxels are the caller's to
+fill.
 
-Per label the system is solved with Jacobi-preconditioned conjugate
-gradients; the last label is recovered by simplex closure (1 minus the
+`solve_all` picks its route from the block sizes. When no block of L_U has
+more than `DIRECT_BLOCK_LIMIT` nodes, one sparse LU factorization solves
+every label directly, with no closure and no stopping rule. Otherwise each
+label but the last is solved with Jacobi-preconditioned conjugate
+gradients, and the last label is recovered by simplex closure (1 minus the
 others), which keeps per-node sums at exactly 1. A dense LAPACK-based
 reference solver is provided for testing.
 """
@@ -30,10 +37,11 @@ from typing import Mapping
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from .errors import ConvergenceFailure, NoSeeds, TooLarge
-from .lattice import LatticeGraph, connected_components
-from .volume import LabelSet
+from .lattice import _weights, block_ids, lattice_inputs, neighbor_voxels
+from .volume import LabelSet, Volume3D
 
 log = logging.getLogger(__name__)
 
@@ -45,6 +53,12 @@ PROB_EPS = 1e-6
 
 #: Drift beyond this aborts: the solver is misconfigured, not just inexact.
 PROB_HARD_LIMIT = 1e-4
+
+#: Largest L_U block, in nodes, that `solve_all` factors directly; larger
+#: blocks go to PCG. Sparse LU fill grows fast with block size: one factor
+#: of a 73k-node lattice block added about 100 MB of resident memory, where
+#: PCG needs a few vectors.
+DIRECT_BLOCK_LIMIT = 4096
 
 
 @dataclass(frozen=True)
@@ -83,39 +97,39 @@ class LabelSolveStats:
 
 @dataclass(frozen=True)
 class DirichletSystem:
-    """Partitioned Laplacian system over a lattice graph.
+    """Partitioned lattice Laplacian around fixed seed voxels.
 
-    seed_nodes/seed_labels are sorted by node id; `unseeded` holds the other
-    nodes of seeded components ascending, so pocket nodes are in neither.
-    L_U rows/cols follow `unseeded` order, B columns follow `seed_nodes`
-    order. `label_ids` ascend.
+    Voxels are x-fastest flat indices. seed_voxels/seed_labels are sorted
+    by voxel; `unseeded` holds the other roi voxels of blocks that reach a
+    seed, ascending. L_U rows/cols follow `unseeded` order, B columns follow
+    `seed_voxels` order. `label_ids` ascend.
+
+    A block is a connected component of the unseeded roi voxels; blocks are
+    numbered by their first voxel. `n_blocks` counts them all, pockets
+    included, and `largest_block` is the node count of the largest block of
+    L_U (0 when there is none). The pockets, blocks with no edge to a seed,
+    are listed by id in `seedless_components`; their voxels, in
+    `pocket_voxels`, are in neither `unseeded` nor `seed_voxels`.
     """
 
-    graph: LatticeGraph
-    seed_nodes: np.ndarray
+    seed_voxels: np.ndarray
     seed_labels: np.ndarray
     unseeded: np.ndarray
     L_U: sp.csr_matrix
     B: sp.csr_matrix
     label_ids: tuple[int, ...]
-    component_of_node: np.ndarray
+    pocket_voxels: np.ndarray
     seedless_components: tuple[int, ...]
+    n_blocks: int
+    largest_block: int
 
     def __post_init__(self):
-        for name in ("seed_nodes", "seed_labels", "unseeded", "component_of_node"):
+        for name in ("seed_voxels", "seed_labels", "unseeded", "pocket_voxels"):
             getattr(self, name).setflags(write=False)
-
-    @property
-    def n_nodes(self) -> int:
-        return self.graph.n_nodes
 
     @property
     def n_unseeded(self) -> int:
         return int(self.unseeded.size)
-
-    @property
-    def n_components(self) -> int:
-        return int(self.component_of_node.max()) + 1 if self.n_nodes else 0
 
 
 @dataclass(frozen=True)
@@ -124,12 +138,17 @@ class ProbabilityField:
 
     Rows follow `DirichletSystem.unseeded`; seeds and seedless pockets have
     no row. Rows sum to 1 and lie in [0, 1] up to solver tolerance
-    (clamped).
+    (clamped). `route` names the solver: "direct" or "pcg" from
+    `solve_all`, "dense" from `dense_reference_solve`. `direct_error` names
+    the sparse LU failure that sent a direct solve to PCG, and is None
+    otherwise.
     """
 
     values: np.ndarray  # float64 (n_unseeded, m)
     label_ids: tuple[int, ...]
     stats: tuple[LabelSolveStats, ...] = field(default=())
+    route: str | None = None
+    direct_error: str | None = None
 
     def __post_init__(self):
         self.values.setflags(write=False)
@@ -157,16 +176,45 @@ def _coerce_seeds(seeds) -> tuple[np.ndarray, np.ndarray]:
     return nodes, labels
 
 
+def _csr(slots, n_cols: int) -> sp.csr_matrix:
+    """CSR matrix from (present, cols, vals) slots over its rows.
+
+    Row r holds vals[r] at column cols[r] for every slot whose present[r]
+    is set; the slots come in ascending column order within each row.
+    """
+    indptr = np.concatenate([[0], np.cumsum(sum(present for present, _, _ in slots))])
+    indices = np.empty(indptr[-1], dtype=np.int64)
+    data = np.empty(indptr[-1])
+    at = indptr[:-1].copy()
+    for present, cols, vals in slots:
+        where = at[present]
+        indices[where] = cols[present]
+        data[where] = vals[present]
+        at += present
+    return sp.csr_matrix((data, indices, indptr), shape=(at.size, n_cols))
+
+
 def assemble(
-    graph: LatticeGraph,
+    guidance: Volume3D,
+    roi: Volume3D,
     seeds,
+    beta: float,
     labels: LabelSet | None = None,
 ) -> DirichletSystem:
-    """Partition the graph Laplacian around fixed seed nodes.
+    """Partition the lattice Laplacian over `roi` around fixed seed voxels.
+
+    Only the unseeded roi voxels and their neighbours are visited. The
+    U-U graph is searched once for its components, the blocks; blocks that
+    reach no seed are pockets and are left out of L_U and B. Edge weights
+    equal those of `build_lattice` bitwise, and a voxel's degree sums its
+    edge weights in `lattice.DIRECTIONS` order.
 
     Parameters
     ----------
-    seeds : mapping node_id -> label_id, or (node_ids, label_ids) arrays
+    guidance, roi : intensity and mask volumes on one grid
+    seeds : mapping voxel -> label_id, or (voxels, label_ids) arrays
+        Voxels are x-fastest flat indices inside the roi.
+    beta : edge-weight contrast, >= 0
     labels : optional LabelSet
         Declares the full label universe (and validates seed labels).
         Without it the label set is the sorted unique seed labels.
@@ -175,13 +223,17 @@ def assemble(
     ------
     NoSeeds
         If no seed is given.
+    DimMismatch, EmptyRoi, NonFiniteInput
+        As `build_lattice`.
     """
-    seed_nodes, seed_labels = _coerce_seeds(seeds)
-    if seed_nodes.size == 0:
-        raise NoSeeds("at least one seeded node is required")
-    n = graph.n_nodes
-    if seed_nodes.min() < 0 or seed_nodes.max() >= n:
-        raise ValueError("seed node id out of range")
+    intensity, inside, beta = lattice_inputs(guidance, roi, beta)
+    seed_voxels, seed_labels = _coerce_seeds(seeds)
+    if seed_voxels.size == 0:
+        raise NoSeeds("at least one seeded voxel is required")
+    if seed_voxels.min() < 0 or seed_voxels.max() >= inside.size:
+        raise ValueError("seed voxel index out of range")
+    if not inside[seed_voxels].all():
+        raise ValueError("seed voxels must lie inside the roi")
     if labels is not None:
         stray = np.setdiff1d(seed_labels, np.asarray(labels.ids))
         if stray.size:
@@ -192,68 +244,70 @@ def assemble(
     if min(label_ids) <= 0:
         raise ValueError("seed labels must be strictly positive")
 
-    order = np.argsort(seed_nodes)
-    seed_nodes = seed_nodes[order]
+    order = np.argsort(seed_voxels, kind="stable")
+    seed_voxels = seed_voxels[order]
     seed_labels = seed_labels[order]
-    if (seed_nodes[1:] == seed_nodes[:-1]).any():
-        raise ValueError("duplicate seed nodes")
+    if (seed_voxels[1:] == seed_voxels[:-1]).any():
+        raise ValueError("duplicate seed voxels")
 
-    comp = connected_components(graph)
-    has_seed = np.zeros(int(comp.max()) + 1, dtype=bool)
-    has_seed[comp[seed_nodes]] = True
-    seedless = tuple(int(c) for c in np.flatnonzero(~has_seed))
+    seeded = np.zeros(inside.size, dtype=bool)
+    seeded[seed_voxels] = True
+    free = np.flatnonzero(inside & ~seeded)
+    nbrs = neighbor_voxels(free, inside, roi.dims)
+    present = nbrs >= 0
+    to_seed = present & seeded[nbrs]
+    to_free = present & ~to_seed
 
-    # no edge leaves a pocket, so its nodes stay out of L_U and B alike
-    solved_mask = has_seed[comp]
-    solved_mask[seed_nodes] = False
-    unseeded = np.flatnonzero(solved_mask)
-    n_u, n_s = unseeded.size, seed_nodes.size
+    # index[v]: v's place among the free voxels; once the pockets are known,
+    # among the unseeded voxels (a row) or the seeds (a column of B)
+    index = np.empty(inside.size, dtype=np.int64)
+    index[free] = np.arange(free.size)
 
-    u_of = np.full(n, -1, dtype=np.int64)
-    u_of[unseeded] = np.arange(n_u)
-    s_of = np.full(n, -1, dtype=np.int64)
-    s_of[seed_nodes] = np.arange(n_s)
+    # blocks: components of the U-U graph, each edge taken once (+ directions)
+    up = to_free[:3]
+    block = block_ids(free.size, np.nonzero(up)[1], index[nbrs[:3][up]])
+    n_blocks = int(block.max()) + 1 if free.size else 0
+    reaches_seed = np.zeros(n_blocks, dtype=bool)
+    reaches_seed[block[to_seed.any(axis=0)]] = True
+    solved = reaches_seed[block]
+    sizes = np.bincount(block[solved], minlength=n_blocks)
+    unseeded = free[solved]
+    n_u, n_s = unseeded.size, seed_voxels.size
+    index[unseeded] = np.arange(n_u)
+    index[seed_voxels] = np.arange(n_s)
 
-    ei, ej, w = graph.edges_i, graph.edges_j, graph.weights
-    deg = graph.degrees()
+    # a solved voxel's free neighbours are in its own block, so solved too
+    nbrs, present = nbrs[:, solved], present[:, solved]
+    to_seed, to_free = to_seed[:, solved], to_free[:, solved]
+    col = index[nbrs]
+    g = intensity[unseeded]
+    w = np.zeros(nbrs.shape)
+    for k, has in enumerate(present):
+        w[k, has] = _weights(g[has], intensity[nbrs[k, has]], beta)
+    del nbrs
+    deg = w[0].copy()
+    for row in w[1:]:  # DIRECTIONS order
+        deg += row
+    np.negative(w, out=w)  # the off-diagonal entries are -w
 
-    i_un = solved_mask[ei]
-    j_un = solved_mask[ej]
-
-    both = i_un & j_un
-    rows_uu = u_of[ei[both]]
-    cols_uu = u_of[ej[both]]
-    w_uu = w[both]
-
-    diag = deg[unseeded]
-    L_U = sp.coo_matrix(
-        (
-            np.concatenate([diag, -w_uu, -w_uu]),
-            (
-                np.concatenate([np.arange(n_u), rows_uu, cols_uu]),
-                np.concatenate([np.arange(n_u), cols_uu, rows_uu]),
-            ),
-        ),
-        shape=(n_u, n_u),
-    ).tocsr()
-
-    us = i_un & ~j_un  # unseeded i, seeded j
-    su = ~i_un & j_un  # seeded i, unseeded j
-    rows_b = np.concatenate([u_of[ei[us]], u_of[ej[su]]])
-    cols_b = np.concatenate([s_of[ej[us]], s_of[ei[su]]])
-    w_b = np.concatenate([w[us], w[su]])
-    B = sp.coo_matrix((-w_b, (rows_b, cols_b)), shape=(n_u, n_s)).tocsr()
+    # per row, columns ascend from -z, -y, -x through the diagonal to +x, +y, +z
+    ascending = (5, 4, 3, 0, 1, 2)
+    couplings = [(to_free[k], col[k], w[k]) for k in ascending]
+    diagonal = (np.ones(n_u, dtype=bool), np.arange(n_u), deg)
+    L_U = _csr(couplings[:3] + [diagonal] + couplings[3:], n_u)
+    B = _csr([(to_seed[k], col[k], w[k]) for k in ascending], n_s)
 
     return DirichletSystem(
-        graph=graph,
-        seed_nodes=seed_nodes,
+        seed_voxels=seed_voxels,
         seed_labels=seed_labels,
         unseeded=unseeded,
         L_U=L_U,
         B=B,
         label_ids=label_ids,
-        component_of_node=comp,
-        seedless_components=seedless,
+        pocket_voxels=free[~solved],
+        seedless_components=tuple(int(c) for c in np.flatnonzero(~reaches_seed)),
+        n_blocks=n_blocks,
+        largest_block=int(sizes.max(initial=0)),
     )
 
 
@@ -340,14 +394,31 @@ def solve_all(
     """Probabilities of every label over the unseeded nodes.
 
     Returns values of shape (n_unseeded, m), rows ordered like
-    `sys.unseeded`. Solves m - 1 labels independently (optionally in
-    `workers` threads) and closes the simplex by assigning the remaining
-    mass to the largest label id. Tiny negative drift is clamped to [0, 1];
-    rows whose sum moved more than 1e-6 from 1 are renormalized (logged).
-    Drift beyond 1e-4 raises: that indicates a misconfigured solve, not
-    roundoff.
+    `sys.unseeded`. When no block of L_U exceeds `DIRECT_BLOCK_LIMIT` nodes,
+    one sparse LU factorization of L_U solves all m labels (route
+    "direct"); if the factorization fails, the PCG route runs instead and
+    `direct_error` says why. The PCG route solves m - 1 labels
+    independently (optionally in `workers` threads) and closes the simplex
+    by assigning the remaining mass to the largest label id. Tiny negative
+    drift is clamped to [0, 1]; rows whose sum moved more than 1e-6 from 1
+    are renormalized (logged). Drift beyond 1e-4 raises: that indicates a
+    misconfigured solve, not roundoff.
     """
     label_ids = sys.label_ids
+    direct_error = None
+    if 0 < sys.largest_block <= DIRECT_BLOCK_LIMIT:
+        try:
+            values = _solve_direct(sys)
+        # SuperLU reports a failed allocation as MemoryError or as
+        # "SystemError: gstrf was called with invalid arguments"
+        except (MemoryError, RuntimeError, SystemError) as exc:
+            direct_error = f"{type(exc).__name__}: {exc}"
+            log.warning("sparse LU failed (%s); solving by PCG", direct_error)
+        else:
+            _finalize_probabilities(values)
+            stats = tuple(LabelSolveStats(lab, 0, 0.0) for lab in label_ids)
+            return ProbabilityField(values, label_ids, stats, "direct")
+
     head = label_ids[:-1] if sys.n_unseeded else ()
     if workers > 1 and len(head) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -361,7 +432,19 @@ def solve_all(
     stats = [st for _, st in results]
     stats += [LabelSolveStats(lab, 0, 0.0, closure=True) for lab in label_ids[len(head):]]
     _finalize_probabilities(values)
-    return ProbabilityField(values, label_ids, tuple(stats))
+    return ProbabilityField(values, label_ids, tuple(stats), "pcg", direct_error)
+
+
+def _solve_direct(sys: DirichletSystem) -> np.ndarray:
+    """All labels from one sparse LU factorization of L_U."""
+    n_s = sys.seed_voxels.size
+    cols = np.searchsorted(sys.label_ids, sys.seed_labels)
+    one_hot = sp.csr_matrix(
+        (np.ones(n_s), (np.arange(n_s), cols)), shape=(n_s, len(sys.label_ids))
+    )
+    lu = splu(sys.L_U.tocsc(), permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
+    # -B is nonnegative, so an unseeded label's column is +0.0, not -0.0
+    return lu.solve(((-sys.B) @ one_hot).toarray())
 
 
 def _finalize_probabilities(values: np.ndarray) -> None:
@@ -399,9 +482,9 @@ def dense_reference_solve(sys: DirichletSystem) -> ProbabilityField:
     if n_u > 4096:
         raise TooLarge(f"{n_u} unseeded nodes exceeds the dense limit of 4096")
     label_ids = sys.label_ids
-    n_s = sys.seed_nodes.size
+    n_s = sys.seed_voxels.size
     M = np.zeros((n_s, len(label_ids)))
     M[np.arange(n_s), np.searchsorted(label_ids, sys.seed_labels)] = 1.0
     values = np.linalg.solve(sys.L_U.toarray(), -(sys.B @ M))
     stats = tuple(LabelSolveStats(lab, 0, 0.0) for lab in label_ids)
-    return ProbabilityField(values, label_ids, stats)
+    return ProbabilityField(values, label_ids, stats, "dense")

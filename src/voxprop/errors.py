@@ -82,14 +82,14 @@ class ConvergenceFailure(VoxpropError):
 
 
 class SeedlessComponent(VoxpropError):
-    """One or more graph components contain no seed of any label, making the
+    """One or more roi components contain no seed of any label, making the
     unseeded block singular there.
 
     Attributes
     ----------
     component_ids : tuple of int
-        Deterministic component ids (ordered by minimal node id) that lack
-        seeds.
+        Ids of the seedless blocks, among the connected blocks of unseeded
+        voxels numbered by their first x-fastest voxel.
     """
 
     def __init__(self, message, *, component_ids=()):

@@ -1,13 +1,18 @@
 """6-connected weighted voxel lattice over a region of interest.
 
-Nodes are the roi voxels, numbered densely in x-fastest scan order. Edges
-join axis-aligned neighbor pairs whose endpoints both lie in the roi, with
-Gaussian intensity affinity
+Voxels are addressed by their x-fastest flat index. The neighbours of voxel
+v are v +/- 1, v +/- nx and v +/- nx*ny, kept when they lie on the grid and
+in the roi; `neighbor_voxels` is the one place that does this arithmetic.
+An edge joins two neighbouring roi voxels, with Gaussian intensity affinity
 
     w_ij = exp(-beta * (g_i - g_j)**2)
 
 clamped below at ``W_FLOOR`` so extreme contrast cannot disconnect the
 graph numerically.
+
+The propagation pipeline never builds the whole roi's graph: `assemble`
+visits only the unseeded voxels' neighbourhoods. `build_lattice` and
+`connected_components` give the whole graph, for inspection and tests.
 """
 
 from __future__ import annotations
@@ -25,6 +30,10 @@ from .volume import Volume3D, require_same_dims
 #: (beta = 1e4 with an intensity step of 0.2 already underflows exp to ~1e-174).
 W_FLOOR = 1e-10
 
+#: The six neighbour directions as (axis, step). A voxel's degree sums its
+#: edge weights in this order, which keeps degrees bitwise reproducible.
+DIRECTIONS = ((0, 1), (1, 1), (2, 1), (0, -1), (1, -1), (2, -1))
+
 
 def _check_beta(beta: float) -> float:
     beta = float(beta)
@@ -33,6 +42,10 @@ def _check_beta(beta: float) -> float:
     if beta < 0:
         raise ValueError(f"beta must be >= 0, got {beta}")
     return beta
+
+
+def _weights(g_i, g_j, beta: float):
+    return np.maximum(np.exp(-beta * (g_i - g_j) ** 2), W_FLOOR)
 
 
 def edge_weight(g_i, g_j, beta: float):
@@ -50,10 +63,68 @@ def edge_weight(g_i, g_j, beta: float):
     g_j = np.asarray(g_j, dtype=np.float64)
     if not (np.isfinite(g_i).all() and np.isfinite(g_j).all()):
         raise NonFiniteInput("intensities must be finite")
-    w = np.maximum(np.exp(-beta * (g_i - g_j) ** 2), W_FLOOR)
+    w = _weights(g_i, g_j, beta)
     if w.ndim == 0:
         return float(w)
     return w
+
+
+def lattice_inputs(g: Volume3D, roi: Volume3D, beta: float):
+    """Validate a guidance image, roi and beta for a lattice over the roi.
+
+    Returns ``(intensity, inside, beta)``: the guidance and the roi as flat
+    x-fastest arrays, and beta as a float.
+
+    Raises
+    ------
+    DimMismatch, EmptyRoi, NonFiniteInput
+    """
+    if g.kind != "intensity":
+        raise ValueError(f"guidance must be an intensity volume, got {g.kind!r}")
+    if roi.kind != "mask":
+        raise ValueError(f"roi must be a mask volume, got {roi.kind!r}")
+    require_same_dims(g, roi)
+    beta = _check_beta(beta)
+    inside = roi.data.ravel(order="F")
+    intensity = g.data.ravel(order="F")
+    if not inside.any():
+        raise EmptyRoi("roi selects no voxels")
+    if not np.isfinite(intensity).all() and not np.isfinite(intensity[inside]).all():
+        raise NonFiniteInput("guidance image has non-finite values inside the roi")
+    return intensity, inside, beta
+
+
+def neighbor_voxels(voxels: np.ndarray, inside: np.ndarray, dims) -> np.ndarray:
+    """Roi neighbours of each voxel, one row per entry of `DIRECTIONS`.
+
+    `voxels` are x-fastest flat indices and `inside` is the roi as a flat
+    x-fastest bool array. Returns an int64 array of shape (6, len(voxels))
+    holding each neighbour's flat index, or -1 where the step leaves the
+    grid or the roi.
+    """
+    strides = (1, dims[0], dims[0] * dims[1])
+    out = np.full((len(DIRECTIONS), voxels.size), -1, dtype=np.int64)
+    for k, (axis, step) in enumerate(DIRECTIONS):
+        coord = voxels // strides[axis] % dims[axis]
+        idx = np.flatnonzero(coord < dims[axis] - 1 if step > 0 else coord > 0)
+        nb = voxels[idx] + step * strides[axis]
+        keep = inside[nb]
+        out[k, idx[keep]] = nb[keep]
+    return out
+
+
+def block_ids(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Component id per node of the graph with edges (rows, cols).
+
+    Ids are ordered by each component's minimal node: component 0 contains
+    node 0, the next component met scanning node ids upward gets 1, and so on.
+    """
+    adj = sp.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
+    _, raw = _cc(adj.tocsr(), directed=False)
+    _, first = np.unique(raw, return_index=True)
+    order = np.empty(len(first), dtype=np.int64)
+    order[np.argsort(first)] = np.arange(len(first))
+    return order[raw]
 
 
 @dataclass(frozen=True)
@@ -95,79 +166,39 @@ class LatticeGraph:
     def n_edges(self) -> int:
         return int(self.weights.size)
 
-    def degrees(self) -> np.ndarray:
-        """Total incident edge weight per node."""
-        d = np.zeros(self.n_nodes)
-        np.add.at(d, self.edges_i, self.weights)
-        np.add.at(d, self.edges_j, self.weights)
-        return d
-
 
 def build_lattice(g: Volume3D, roi: Volume3D, beta: float) -> LatticeGraph:
     """Build the 6-connected lattice over roi voxels of a guidance image.
 
     Intensities are taken as-is; normalize them to [0, 1] first if the
-    usual beta scale (~1e4) is intended.
+    usual beta scale (~1e4) is intended. Edges come axis by axis (x, y, z),
+    each axis in node order.
 
     Raises
     ------
     DimMismatch, EmptyRoi, NonFiniteInput
     """
-    if g.kind != "intensity":
-        raise ValueError(f"guidance must be an intensity volume, got {g.kind!r}")
-    if roi.kind != "mask":
-        raise ValueError(f"roi must be a mask volume, got {roi.kind!r}")
-    dims = require_same_dims(g, roi)
-    beta = _check_beta(beta)
+    intensity, inside, beta = lattice_inputs(g, roi, beta)
+    dims = roi.dims
+    node_voxels = np.flatnonzero(inside)
+    ids_flat = np.full(inside.size, -1, dtype=np.int64)
+    ids_flat[node_voxels] = np.arange(node_voxels.size)
 
-    inside = roi.data
-    n_vox = inside.size
-    flat = inside.ravel(order="F")
-    n_nodes = int(flat.sum())
-    if n_nodes == 0:
-        raise EmptyRoi("roi selects no voxels")
-    if not np.isfinite(g.data[inside]).all():
-        raise NonFiniteInput("guidance image has non-finite values inside the roi")
-
-    ids_flat = np.full(n_vox, -1, dtype=np.int64)
-    ids_flat[flat] = np.arange(n_nodes, dtype=np.int64)
-    node_ids = ids_flat.reshape(dims, order="F")
-    node_voxels = np.flatnonzero(flat)
-
-    intensity = g.data
     ei_parts, ej_parts, w_parts = [], [], []
-    for axis in range(3):
-        lo = [slice(None)] * 3
-        hi = [slice(None)] * 3
-        lo[axis] = slice(None, -1)
-        hi[axis] = slice(1, None)
-        lo, hi = tuple(lo), tuple(hi)
-        pair = inside[lo] & inside[hi]
-        if not pair.any():
-            continue
-        gi = intensity[lo][pair]
-        gj = intensity[hi][pair]
-        # the +axis neighbor has the larger flat index, hence the larger id
-        ei_parts.append(node_ids[lo][pair])
-        ej_parts.append(node_ids[hi][pair])
-        w_parts.append(edge_weight(gi, gj, beta))
-
-    if ei_parts:
-        edges_i = np.concatenate(ei_parts)
-        edges_j = np.concatenate(ej_parts)
-        weights = np.concatenate(w_parts)
-    else:
-        edges_i = np.empty(0, dtype=np.int64)
-        edges_j = np.empty(0, dtype=np.int64)
-        weights = np.empty(0, dtype=np.float64)
+    # the +axis neighbour has the larger flat index, hence the larger id
+    for nb in neighbor_voxels(node_voxels, inside, dims)[:3]:
+        has = np.flatnonzero(nb >= 0)
+        ei_parts.append(has)
+        ej_parts.append(ids_flat[nb[has]])
+        w_parts.append(_weights(intensity[node_voxels[has]], intensity[nb[has]], beta))
 
     return LatticeGraph(
         dims=dims,
-        node_ids=node_ids,
+        node_ids=ids_flat.reshape(dims, order="F"),
         node_voxels=node_voxels,
-        edges_i=edges_i,
-        edges_j=edges_j,
-        weights=np.asarray(weights, dtype=np.float64),
+        edges_i=np.concatenate(ei_parts),
+        edges_j=np.concatenate(ej_parts),
+        weights=np.concatenate(w_parts),
         beta=beta,
     )
 
@@ -178,12 +209,4 @@ def connected_components(graph: LatticeGraph) -> np.ndarray:
     Component 0 contains node 0; the next component encountered while
     scanning node ids upward gets 1, and so on.
     """
-    n = graph.n_nodes
-    adj = sp.coo_matrix(
-        (np.ones(graph.n_edges), (graph.edges_i, graph.edges_j)), shape=(n, n)
-    )
-    _, raw = _cc(adj.tocsr(), directed=False)
-    _, first = np.unique(raw, return_index=True)
-    order = np.empty(len(first), dtype=np.int64)
-    order[np.argsort(first)] = np.arange(len(first))
-    return order[raw]
+    return block_ids(graph.n_nodes, graph.edges_i, graph.edges_j)

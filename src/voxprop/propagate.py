@@ -1,9 +1,11 @@
 """End-to-end label propagation inside a region of interest.
 
 Pipeline: multi-labeled voxels are cleared to unlabeled, the remaining
-single-labeled voxels become fixed seeds, a 6-connected intensity-weighted
-lattice is built over the roi, and the seeded Dirichlet problem is solved
-per label. Outputs are soft per-label probability volumes plus the argmax
+single-labeled voxels become fixed seeds, the seeded Dirichlet system of
+the 6-connected intensity-weighted lattice over the roi is assembled from
+the unseeded voxels and their neighbours (`assemble`), and it is solved for
+every label (`solve_all`: one sparse LU when its blocks are small, PCG
+otherwise). Outputs are soft per-label probability volumes plus the argmax
 hard labeling, with a run report for auditing.
 
 Connected roi pockets that end up with no seed at all are left out of the
@@ -27,7 +29,6 @@ from .errors import (
     OverlappingHemispheres,
     SeedlessComponent,
 )
-from .lattice import build_lattice
 from .volume import (
     BACKGROUND_ID,
     LabelSet,
@@ -133,19 +134,16 @@ def _solve_region(req: PropagationRequest, roi: Volume3D, seeds, conflicts, work
     seed_flat = np.flatnonzero(seeds_in.ravel(order="F"))
     seed_labels = seeds.ravel(order="F")[seed_flat]
 
-    graph = build_lattice(req.guidance, roi, req.beta)
-    seed_nodes = graph.node_ids.ravel(order="F")[seed_flat]
-    system = assemble(graph, (seed_nodes, seed_labels), labels)
-    n_components, seedless = system.n_components, system.seedless_components
-    pocket_voxels = graph.node_voxels[np.isin(system.component_of_node, seedless)]
+    system = assemble(req.guidance, roi, (seed_flat, seed_labels), req.beta, labels)
+    seedless, pocket_voxels = system.seedless_components, system.pocket_voxels
     if seedless and req.seedless_policy == "error":
         raise SeedlessComponent(
-            f"roi components {list(seedless)} contain no seed "
+            f"unseeded blocks {list(seedless)} reach no seed "
             f"({pocket_voxels.size} voxels)",
             component_ids=seedless,
         )
     field_ = solve_all(system, req.solver, workers=workers)
-    solved = (graph.node_voxels[system.unseeded], field_.values)
+    solved = (system.unseeded, field_.values)
 
     fills = [(seed_flat, np.searchsorted(labels.ids, seed_labels))]
     n_filled = 0
@@ -166,11 +164,14 @@ def _solve_region(req: PropagationRequest, roi: Volume3D, seeds, conflicts, work
         for s in field_.stats
     ]
     report = {
-        "n_nodes": int(graph.n_nodes - pocket_voxels.size),
+        "n_nodes": int(seed_flat.size + system.n_unseeded),
         "n_unseeded": int(system.n_unseeded),
-        "n_seeds": int(seed_nodes.size),
+        "n_seeds": int(seed_flat.size),
         "n_conflicts_cleared": int((conflicts & roi.data).sum()),
-        "n_components": n_components,
+        "n_blocks": system.n_blocks,
+        "largest_block": system.largest_block,
+        "route": field_.route,
+        "direct_error": field_.direct_error,
         "seedless_components": list(seedless),
         "n_seedless_voxels": int(pocket_voxels.size),
         "n_policy_filled": int(n_filled),
@@ -204,8 +205,13 @@ def _write_volumes(like: Volume3D, labels: LabelSet, solved, fills):
             flat[voxels] = values[:, k]
         for voxels, cols in fills:
             flat[voxels[cols == k]] = 1.0
-        soft.append(like.with_data(flat.reshape(like.dims, order="F"), "probability"))
-    return tuple(soft), like.with_data(hard.reshape(like.dims, order="F"), "label")
+        soft.append(_volume(flat, like, "probability"))
+    return tuple(soft), _volume(hard, like, "label")
+
+
+def _volume(flat: np.ndarray, like: Volume3D, kind) -> Volume3D:
+    """Volume on `like`'s grid over the x-fastest array `flat`, not copied."""
+    return Volume3D._adopt(flat.reshape(like.dims, order="F"), kind, like.spacing, like.origin)
 
 
 def propagate(req: PropagationRequest, workers: int = 1) -> PropagationResult:

@@ -80,6 +80,21 @@ class Volume3D:
     origin: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
+        self._freeze(copy=True)
+
+    @classmethod
+    def _adopt(cls, data: np.ndarray, kind: ElementKind, spacing, origin) -> "Volume3D":
+        """Volume over `data` itself, without the defensive copy.
+
+        For arrays that no other code holds or writes to afterwards.
+        """
+        vol = object.__new__(cls)
+        for name, value in (("data", data), ("kind", kind), ("spacing", spacing), ("origin", origin)):
+            object.__setattr__(vol, name, value)
+        vol._freeze(copy=False)
+        return vol
+
+    def _freeze(self, copy: bool):
         if self.kind not in ELEMENT_KINDS:
             raise ValueError(f"unknown element kind {self.kind!r}")
         arr = np.asarray(self.data)
@@ -95,7 +110,7 @@ class Volume3D:
                 raise ValueError("label volumes require integer data")
             if arr.size and (arr.min() < 0 or arr.max() > np.iinfo(np.uint16).max):
                 raise ValueError("label ids must fit in uint16")
-        arr = arr.astype(_KIND_DTYPE[self.kind], copy=True)
+        arr = arr.astype(_KIND_DTYPE[self.kind], copy=copy)
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
         object.__setattr__(self, "spacing", _as_triple(self.spacing, "spacing"))

@@ -1,12 +1,18 @@
 import numpy as np
 import pytest
 
-from voxprop import LabelSet, MultiLabelAnnotation, Volume3D
+from voxprop import LabelSet, MultiLabelAnnotation, Volume3D, dirichlet
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240917)
+
+
+@pytest.fixture
+def pcg_route(monkeypatch):
+    """Send every `solve_all` to the PCG route, whatever its block sizes."""
+    monkeypatch.setattr(dirichlet, "DIRECT_BLOCK_LIMIT", 0)
 
 
 def make_intensity(data, spacing=(1.0, 1.0, 1.0), origin=(0.0, 0.0, 0.0)):

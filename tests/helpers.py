@@ -26,15 +26,83 @@ def brute_force_edges(roi: np.ndarray, intensity: np.ndarray, beta: float):
                 if roi[x, y, z]:
                     node_of[(x, y, z)] = nid
                     nid += 1
-    edges = []
+    pairs, diffs = [], []
     for (x, y, z), i in node_of.items():
         for dx, dy, dz in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
             q = (x + dx, y + dy, z + dz)
             if q in node_of:
-                j = node_of[q]
-                w = np.exp(-beta * (intensity[x, y, z] - intensity[q]) ** 2)
-                edges.append((i, j, max(float(w), 1e-10)))
+                pairs.append((i, node_of[q]))
+                diffs.append(intensity[x, y, z] - intensity[q])
+    # one array call: numpy's vectorized exp may differ from its scalar path
+    # in the last bit, and the library evaluates weights over arrays
+    w = np.maximum(np.exp(-beta * np.asarray(diffs, dtype=np.float64) ** 2), 1e-10)
+    edges = [(i, j, float(wk)) for (i, j), wk in zip(pairs, w)]
     return nid, node_of, edges
+
+
+def brute_force_partition(roi: np.ndarray, intensity: np.ndarray, beta: float, seeds: dict):
+    """Dense L_U and B of the seeded lattice over `roi`, pockets left out.
+
+    `seeds` maps x-fastest flat voxel indices to labels. Blocks are the
+    components of the unseeded voxels, found by depth-first search; a block
+    with no edge to a seed is a pocket. A voxel's degree sums its edge
+    weights in the order +x, +y, +z, -x, -y, -z. Returns (unseeded voxels,
+    pocket voxels, n_blocks, largest seeded block, L_U, B) with voxel lists
+    ascending and B columns over the seeds in ascending voxel order.
+    """
+    n, node_of, edges = brute_force_edges(roi, intensity, beta)
+    nx, ny, _ = roi.shape
+    voxel = {i: x + nx * (y + ny * z) for (x, y, z), i in node_of.items()}
+    coord = {i: c for c, i in node_of.items()}
+    nbr = {}  # (node, direction) -> (neighbour, weight)
+    for i, j, w in edges:
+        axis = next(a for a in range(3) if coord[i][a] != coord[j][a])
+        nbr[i, axis] = (j, w)
+        nbr[j, axis + 3] = (i, w)
+    seeded = [i for i in range(n) if voxel[i] in seeds]
+    free = [i for i in range(n) if voxel[i] not in seeds]
+    block = {}
+    for start in free:
+        if start in block:
+            continue
+        block[start], stack = start, [start]
+        while stack:
+            a = stack.pop()
+            for k in range(6):
+                b = nbr.get((a, k), (None,))[0]
+                if b is not None and voxel[b] not in seeds and b not in block:
+                    block[b] = start
+                    stack.append(b)
+    reaches = {
+        block[a] for a in free for k in range(6)
+        if (a, k) in nbr and voxel[nbr[a, k][0]] in seeds
+    }
+    unseeded = [a for a in free if block[a] in reaches]
+    pockets = [a for a in free if block[a] not in reaches]
+    sizes = [sum(block[a] == r for a in unseeded) for r in reaches]
+    row = {a: r for r, a in enumerate(unseeded)}
+    col = {s: c for c, s in enumerate(seeded)}
+    L_U = np.zeros((len(unseeded), len(unseeded)))
+    B = np.zeros((len(unseeded), len(seeded)))
+    for a in unseeded:
+        deg = 0.0
+        for k in range(6):
+            if (a, k) in nbr:
+                b, w = nbr[a, k]
+                deg += w
+                if b in row:
+                    L_U[row[a], row[b]] = -w
+                else:
+                    B[row[a], col[b]] = -w
+        L_U[row[a], row[a]] = deg
+    return (
+        [voxel[a] for a in unseeded],
+        [voxel[a] for a in pockets],
+        len(set(block.values())),
+        max(sizes, default=0),
+        L_U,
+        B,
+    )
 
 
 def dense_laplacian(n_nodes: int, edges) -> np.ndarray:

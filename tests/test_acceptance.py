@@ -28,6 +28,7 @@ from voxprop import (
     solve_all,
     write_volume,
 )
+from voxprop import dirichlet
 from voxprop.propagate import PropagationRequest
 from voxprop.phantom import PhantomBlob, PhantomSpec, make_phantom
 
@@ -157,27 +158,33 @@ def _random_lattice_and_seeds(rng):
     if len({v for v in seeds.values()}) < 2:
         other = next(n for n in sorted(seeds) if n != first)
         seeds[other] = 1 if seeds[first] != 1 else 2
-    return graph, seeds, labels, beta
+    seed_voxels = {int(graph.node_voxels[n]): lab for n, lab in seeds.items()}
+    return make_intensity(intensity), make_mask(roi_data), seed_voxels, labels, beta
 
 
-def test_oracle_equivalence():
+def test_oracle_equivalence(monkeypatch):
     rng = np.random.default_rng(2024)
     t0 = time.perf_counter()
     n_lattices = 60
-    worst = 0.0
+    worst = {"direct": 0.0, "pcg": 0.0}
+    direct_limit = dirichlet.DIRECT_BLOCK_LIMIT
     for _ in range(n_lattices):
-        graph, seeds, labels, beta = _random_lattice_and_seeds(rng)
-        sys_ = assemble(graph, seeds, labels)
-        fast = solve_all(sys_)
+        guidance, roi, seeds, labels, beta = _random_lattice_and_seeds(rng)
+        sys_ = assemble(guidance, roi, seeds, beta, labels)
         ref = dense_reference_solve(sys_)
-        diff = float(np.abs(fast.values - ref.values).max())
-        worst = max(worst, diff)
-        assert diff <= 1e-6, f"beta={beta} dims={graph.dims}: diff {diff:.3e}"
+        # every lattice here routes direct; a zero limit forces PCG
+        for route, limit in (("direct", direct_limit), ("pcg", 0)):
+            monkeypatch.setattr(dirichlet, "DIRECT_BLOCK_LIMIT", limit)
+            fast = solve_all(sys_)
+            assert fast.route == route
+            diff = float(np.abs(fast.values - ref.values).max())
+            worst[route] = max(worst[route], diff)
+            assert diff <= 1e-6, f"{route} beta={beta} dims={roi.dims}: diff {diff:.3e}"
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0, f"oracle equivalence took {elapsed:.1f}s"
     _pass(
-        f"oracle equivalence ({n_lattices} lattices, worst diff {worst:.2e}, "
-        f"{elapsed:.1f}s)"
+        f"oracle equivalence ({n_lattices} lattices, worst diff direct "
+        f"{worst['direct']:.2e}, pcg {worst['pcg']:.2e}, {elapsed:.1f}s)"
     )
 
 
@@ -187,8 +194,7 @@ def test_closed_form_chains():
     worst = 0.0
     for length in range(3, 51):
         g = make_intensity(np.zeros((1, 1, length)))
-        graph = build_lattice(g, full_mask((1, 1, length)), 0.0)
-        sys_ = assemble(graph, {0: 1, length - 1: 2})
+        sys_ = assemble(g, full_mask((1, 1, length)), {0: 1, length - 1: 2}, 0.0)
         field = solve_all(sys_)
         k = np.arange(1, length - 1)  # the interior is the unseeded chain
         expect = 1.0 - k / (length - 1)
@@ -238,10 +244,11 @@ def test_monte_carlo_absorption():
     n_walks = 100_000
     worst = 0.0
     for name, g, roi_data, beta, seeds in _mc_lattices():
-        graph = build_lattice(make_intensity(g), make_mask(roi_data), beta)
+        guidance, roi = make_intensity(g), make_mask(roi_data)
+        graph = build_lattice(guidance, roi, beta)
         assert graph.n_nodes <= 200
         labels = LabelSet.from_ids(sorted(set(seeds.values())))
-        sys_ = assemble(graph, seeds, labels)
+        sys_ = assemble(guidance, roi, seeds, beta, labels)  # full roi: voxel = node
         field = solve_all(sys_)
         edges = list(
             zip(graph.edges_i.tolist(), graph.edges_j.tolist(), graph.weights.tolist())

@@ -1,5 +1,9 @@
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -357,3 +361,35 @@ class TestInfoCommand:
         path.write_bytes(bytes(raw))
         assert run(["info", "--in", path]) == 2
         assert "error" in capsys.readouterr().err
+
+
+def test_commands_without_a_solve_do_not_import_scipy(tmp_path, phantom_files):
+    """fuse, evaluate, info and phantom need numpy alone; `from voxprop import
+    propagate` still gives the function once the submodule is loaded."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(SPEC_JSON))
+    f = {k: str(v) for k, v in phantom_files.items() if k not in ("annotation", "phantom")}
+    annotation = [str(p) for p in phantom_files["annotation"]]
+    commands = [
+        ["fuse", "--in", f["truth"], f["truth"], "--roi", f["roi"],
+         "--out", str(tmp_path / "fused.nii")],
+        ["evaluate", "--pred", f["truth"], "--target", f["truth"], "--labels", f["labels"],
+         "--roi", f["roi"], "--annotation", *annotation, "--out", str(tmp_path / "e.json")],
+        ["info", "--in", f["guidance"]],
+        ["phantom", "--spec", str(spec), "--out", str(tmp_path / "ph")],
+    ]
+    code = f"""
+import sys
+from voxprop.cli import main
+for argv in {commands!r}:
+    assert main(argv) == 0, argv
+assert "scipy" not in sys.modules, "scipy was imported"
+import voxprop.propagate
+from voxprop import propagate
+assert callable(propagate), propagate
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, cwd=tmp_path, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]

@@ -11,108 +11,130 @@ from voxprop import (
     build_lattice,
     connected_components,
     dense_reference_solve,
+    edge_weight,
     solve_all,
     solve_label,
 )
+from voxprop import dirichlet
 from voxprop.dirichlet import _finalize_probabilities
 
 from conftest import full_mask, make_intensity, make_mask
-from helpers import blobby_field, dense_dirichlet
+from helpers import blobby_field, brute_force_partition, dense_dirichlet
 
 
 def uniform_chain(length):
-    g = make_intensity(np.zeros((1, 1, length)))
-    return build_lattice(g, full_mask((1, 1, length)), 0.0)
-
-
-def hand_graph(n, edges):
-    """Chain-shaped graph container with explicit edge weights (weights are
-    arbitrary positive numbers here; only build_lattice confines them to
-    (0, 1])."""
-    from voxprop import LatticeGraph
-
-    return LatticeGraph(
-        dims=(1, 1, n),
-        node_ids=np.arange(n, dtype=np.int64).reshape(1, 1, n),
-        node_voxels=np.arange(n, dtype=np.int64),
-        edges_i=np.array([e[0] for e in edges], dtype=np.int64),
-        edges_j=np.array([e[1] for e in edges], dtype=np.int64),
-        weights=np.array([e[2] for e in edges], dtype=np.float64),
-        beta=0.0,
-    )
+    """Guidance and roi of a uniform chain of `length` voxels along z."""
+    return make_intensity(np.zeros((1, 1, length))), full_mask((1, 1, length))
 
 
 class TestAssemble:
     def test_three_node_path_blocks(self):
-        graph = uniform_chain(3)
-        sys_ = assemble(graph, {0: 1, 2: 2})
+        sys_ = assemble(*uniform_chain(3), {0: 1, 2: 2}, 0.0)
         assert sys_.L_U.toarray().tolist() == [[2.0]]
         assert sys_.B.toarray().tolist() == [[-1.0, -1.0]]
 
     def test_four_node_path_blocks(self):
-        graph = uniform_chain(4)
-        sys_ = assemble(graph, {0: 1, 3: 2})
+        sys_ = assemble(*uniform_chain(4), {0: 1, 3: 2}, 0.0)
         assert np.array_equal(sys_.L_U.toarray(), [[2.0, -1.0], [-1.0, 2.0]])
 
     def test_row_sums_of_full_blocks_zero(self, rng):
         intensity = rng.random((4, 4, 3))
-        graph = build_lattice(make_intensity(intensity), full_mask((4, 4, 3)), 5.0)
-        nodes = rng.choice(graph.n_nodes, size=6, replace=False)
+        nodes = rng.choice(intensity.size, size=6, replace=False)
         seeds = {int(n): int(rng.integers(1, 3)) for n in nodes}
-        sys_ = assemble(graph, seeds)
+        sys_ = assemble(make_intensity(intensity), full_mask((4, 4, 3)), seeds, 5.0)
         rowsum = sys_.L_U.sum(axis=1).A1 + sys_.B.sum(axis=1).A1
         assert np.allclose(rowsum, 0.0, atol=1e-12)
 
     def test_all_seeded_empty_unseeded_block(self):
-        graph = uniform_chain(3)
-        sys_ = assemble(graph, {0: 1, 1: 1, 2: 2})
+        sys_ = assemble(*uniform_chain(3), {0: 1, 1: 1, 2: 2}, 0.0)
         assert sys_.n_unseeded == 0
         assert sys_.L_U.shape == (0, 0)
 
     def test_no_seeds(self):
         with pytest.raises(NoSeeds):
-            assemble(uniform_chain(3), {})
+            assemble(*uniform_chain(3), {}, 0.0)
 
     def test_seed_labels_validated_against_label_set(self):
         with pytest.raises(ValueError):
-            assemble(uniform_chain(3), {0: 9}, LabelSet.from_ids([1, 2]))
+            assemble(*uniform_chain(3), {0: 9}, 0.0, LabelSet.from_ids([1, 2]))
 
     def test_duplicate_seed_nodes_rejected(self):
         with pytest.raises(ValueError):
-            assemble(uniform_chain(3), (np.array([0, 0]), np.array([1, 2])))
+            assemble(*uniform_chain(3), (np.array([0, 0]), np.array([1, 2])), 0.0)
+
+    def test_matches_brute_force_partition(self, rng):
+        n_pockets = 0
+        for intensity, roi, seeds, beta in _partition_cases(rng):
+            sys_ = assemble(make_intensity(intensity), make_mask(roi), seeds, beta)
+            unseeded, pockets, n_blocks, largest, L_U, B = brute_force_partition(
+                roi, intensity, beta, seeds
+            )
+            assert sys_.unseeded.tolist() == unseeded
+            assert sys_.pocket_voxels.tolist() == pockets
+            assert sys_.seed_voxels.tolist() == sorted(seeds)
+            assert (sys_.n_blocks, sys_.largest_block) == (n_blocks, largest)
+            assert sys_.L_U.toarray().tobytes() == L_U.tobytes()
+            assert sys_.B.toarray().tobytes() == B.tobytes()
+            n_pockets += len(sys_.seedless_components)
+        assert n_pockets > 0
+
+    def test_seed_outside_roi_rejected(self):
+        roi = np.ones((1, 1, 3), bool)
+        roi[0, 0, 1] = False
+        with pytest.raises(ValueError):
+            assemble(make_intensity(np.zeros((1, 1, 3))), make_mask(roi), {1: 1}, 0.0)
 
     def test_array_seed_form(self):
-        graph = uniform_chain(4)
-        sys_ = assemble(graph, (np.array([3, 0]), np.array([2, 1])))
-        # seeds sorted by node id
-        assert sys_.seed_nodes.tolist() == [0, 3]
+        sys_ = assemble(*uniform_chain(4), (np.array([3, 0]), np.array([2, 1])), 0.0)
+        # seeds sorted by voxel
+        assert sys_.seed_voxels.tolist() == [0, 3]
         assert sys_.seed_labels.tolist() == [1, 2]
+
+
+def _partition_cases(rng):
+    """(intensity, roi, seeds, beta) draws: random rois with pockets, seeds on
+    the grid border, one-voxel rois and dims of 1."""
+    yield np.zeros((1, 1, 1)), np.ones((1, 1, 1), bool), {0: 1}, 1.0
+    one = np.zeros((3, 3, 3), bool)
+    one[2, 1, 0] = True
+    yield rng.random((3, 3, 3)), one, {5: 2}, 1.0
+    for _ in range(150):
+        dims = tuple(int(d) for d in rng.integers(1, 6, size=3))
+        roi = rng.random(dims) < rng.choice([0.5, 0.8, 1.0])
+        roi.ravel()[int(rng.integers(roi.size))] = True
+        voxels = np.flatnonzero(roi.ravel(order="F"))
+        k = min(int(rng.integers(1, voxels.size // 3 + 2)), voxels.size)
+        seeds = {int(v): int(rng.integers(1, 4)) for v in rng.choice(voxels, k, replace=False)}
+        seeds[int(voxels[-1])] = 1  # the last roi voxel lies on the grid border
+        yield rng.random(dims), roi, seeds, float(rng.choice([0.0, 1.0, 37.0, 1e4]))
 
 
 class TestSolveLabel:
     def test_symmetric_midpoint(self):
-        sys_ = assemble(uniform_chain(3), {0: 1, 2: 2})
+        sys_ = assemble(*uniform_chain(3), {0: 1, 2: 2}, 0.0)
         x = solve_label(sys_, 1)
         assert x[0] == pytest.approx(0.5, abs=1e-9)
 
     def test_four_node_thirds(self):
-        sys_ = assemble(uniform_chain(4), {0: 1, 3: 2})
+        sys_ = assemble(*uniform_chain(4), {0: 1, 3: 2}, 0.0)
         ref = dense_dirichlet(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)], {0: 1, 3: 2}, [1, 2])
         x = solve_label(sys_, 1)
         assert np.allclose(x, ref[1:3, 0], atol=1e-9)
         assert np.allclose(x, [2.0 / 3.0, 1.0 / 3.0], atol=1e-9)
 
     def test_weighted_path_two_thirds(self):
-        # middle node: L_U = [3], rhs = 2 -> x = 2/3
-        graph = hand_graph(3, [(0, 1, 2.0), (1, 2, 1.0)])
-        sys_ = assemble(graph, {0: 1, 2: 2})
+        # weights 1 and 1/2: middle node L_U = [3/2], rhs = 1 -> x = 2/3
+        g = make_intensity(np.array([0.0, 0.0, 1.0]).reshape(1, 1, 3))
+        beta = np.log(2.0)
+        sys_ = assemble(g, full_mask((1, 1, 3)), {0: 1, 2: 2}, beta)
         x = solve_label(sys_, 1)
         assert x[0] == pytest.approx(2.0 / 3.0, abs=1e-9)
-        ref = dense_dirichlet(3, [(0, 1, 2.0), (1, 2, 1.0)], {0: 1, 2: 2}, [1, 2])
+        edges = [(0, 1, 1.0), (1, 2, edge_weight(0.0, 1.0, beta))]
+        ref = dense_dirichlet(3, edges, {0: 1, 2: 2}, [1, 2])
         assert x[0] == pytest.approx(ref[1, 0], abs=1e-9)
 
     def test_label_with_no_seeds_returns_zero_without_iterating(self):
-        sys_ = assemble(uniform_chain(4), {0: 1, 3: 1}, LabelSet.from_ids([1, 2]))
+        sys_ = assemble(*uniform_chain(4), {0: 1, 3: 1}, 0.0, LabelSet.from_ids([1, 2]))
         x = solve_label(sys_, 2)
         assert np.array_equal(x, np.zeros(2))
 
@@ -125,15 +147,14 @@ class TestSolveLabel:
         seeded_only = roi.copy()
         seeded_only[:3] = False
         labels = LabelSet.from_ids([1, 2, 3])
-        both = assemble(
-            build_lattice(guidance, make_mask(roi), 5.0), {3: 1, 5: 3, 7: 2}, labels
-        )
-        alone = assemble(
-            build_lattice(guidance, make_mask(seeded_only), 5.0), {0: 1, 2: 3, 4: 2}, labels
-        )
+        seeds = {4: 1, 6: 3, 8: 2}
+        both = assemble(guidance, make_mask(roi), seeds, 5.0, labels)
+        alone = assemble(guidance, make_mask(seeded_only), seeds, 5.0, labels)
+        # blocks of unseeded voxels: {0, 1, 2} (the pocket), {5}, {7}
         assert both.seedless_components == (0,)
-        assert np.array_equal(both.component_of_node, [0, 0, 0, 1, 1, 1, 1, 1])
-        assert np.array_equal(both.unseeded, [4, 6])
+        assert both.n_blocks == 3 and both.largest_block == 1
+        assert np.array_equal(both.pocket_voxels, [0, 1, 2])
+        assert np.array_equal(both.unseeded, [5, 7])
         assert (both.L_U != alone.L_U).nnz == 0 and (both.B != alone.B).nnz == 0
 
         # every solver returns the two unseeded rows only: no pocket rows
@@ -147,8 +168,7 @@ class TestSolveLabel:
             assert x.tobytes() == solve_label(alone, lab).tobytes()
 
     def test_convergence_failure_reports_residual(self):
-        graph = uniform_chain(40)
-        sys_ = assemble(graph, {0: 1, 39: 2})
+        sys_ = assemble(*uniform_chain(40), {0: 1, 39: 2}, 0.0)
         with pytest.raises(ConvergenceFailure) as exc:
             solve_label(sys_, 1, SolverConfig(max_iters=2))
         assert exc.value.iterations == 2
@@ -156,29 +176,27 @@ class TestSolveLabel:
 
 
 class TestSolveAll:
-    def test_single_label_all_ones(self):
-        sys_ = assemble(uniform_chain(5), {0: 7, 4: 7})
+    def test_single_label_all_ones(self, pcg_route):
+        sys_ = assemble(*uniform_chain(5), {0: 7, 4: 7}, 0.0)
         field = solve_all(sys_)
         assert np.array_equal(field.values, np.ones((3, 1)))
 
     def test_three_node_field(self):
-        sys_ = assemble(uniform_chain(3), {0: 1, 2: 2})
+        sys_ = assemble(*uniform_chain(3), {0: 1, 2: 2}, 0.0)
         field = solve_all(sys_)
         assert np.allclose(field.values, [[0.5, 0.5]], atol=1e-9)
 
     def test_grid_center_half_half(self):
         # 3x3x1 uniform grid, two adjacent corners seeded A, the other two B
-        graph = build_lattice(
-            make_intensity(np.zeros((3, 3, 1))), full_mask((3, 3, 1)), 0.0
-        )
-        ids = graph.node_ids[:, :, 0]
+        g, roi = make_intensity(np.zeros((3, 3, 1))), full_mask((3, 3, 1))
+        ids = build_lattice(g, roi, 0.0).node_ids[:, :, 0]
         seeds = {
             int(ids[0, 0]): 1,
             int(ids[2, 0]): 1,
             int(ids[0, 2]): 2,
             int(ids[2, 2]): 2,
         }
-        sys_ = assemble(graph, seeds)
+        sys_ = assemble(g, roi, seeds, 0.0)
         field = solve_all(sys_)
         ref = dense_reference_solve(sys_)
         assert np.allclose(field.values, ref.values, atol=1e-8)
@@ -187,10 +205,10 @@ class TestSolveAll:
 
     def test_rows_sum_to_one_and_in_range(self, rng):
         intensity, _ = blobby_field((6, 6, 6), 3, rng)
-        graph = build_lattice(make_intensity(intensity), full_mask((6, 6, 6)), 100.0)
-        nodes = rng.choice(graph.n_nodes, size=20, replace=False)
+        nodes = rng.choice(intensity.size, size=20, replace=False)
         seeds = {int(n): int(rng.integers(1, 4)) for n in nodes}
-        field = solve_all(assemble(graph, seeds, LabelSet.from_ids([1, 2, 3])))
+        g, roi = make_intensity(intensity), full_mask((6, 6, 6))
+        field = solve_all(assemble(g, roi, seeds, 100.0, LabelSet.from_ids([1, 2, 3])))
         sums = field.values.sum(axis=1)
         assert np.allclose(sums, 1.0, atol=1e-6)
         assert field.values.min() >= 0.0
@@ -199,10 +217,11 @@ class TestSolveAll:
     def test_mean_value_property(self, rng):
         # unseeded solution is the weight-normalized neighbor average
         intensity = rng.random((5, 5, 2))
-        graph = build_lattice(make_intensity(intensity), full_mask((5, 5, 2)), 2.0)
+        g, roi = make_intensity(intensity), full_mask((5, 5, 2))
+        graph = build_lattice(g, roi, 2.0)
         nodes = rng.choice(graph.n_nodes, size=8, replace=False)
         seeds = {int(n): int(rng.integers(1, 3)) for n in nodes}
-        sys_ = assemble(graph, seeds)
+        sys_ = assemble(g, roi, seeds, 2.0)  # full roi: voxel = node
         cfg = SolverConfig()
         field = solve_all(sys_, cfg)
         ei, ej, w = graph.edges_i, graph.edges_j, graph.weights
@@ -210,7 +229,7 @@ class TestSolveAll:
         unseeded = sys_.unseeded
         for col, lab in enumerate(sys_.label_ids):
             x = np.zeros(graph.n_nodes)  # seeds one-hot, then the solved rows
-            x[sys_.seed_nodes] = sys_.seed_labels == lab
+            x[sys_.seed_voxels] = sys_.seed_labels == lab
             x[unseeded] = field.values[:, col]
             weighted = np.bincount(ei, w * x[ej], graph.n_nodes)
             weighted += np.bincount(ej, w * x[ei], graph.n_nodes)
@@ -220,15 +239,15 @@ class TestSolveAll:
 
     def test_label_permutation_equivariance(self, rng):
         intensity = rng.random((4, 4, 2))
-        graph = build_lattice(make_intensity(intensity), full_mask((4, 4, 2)), 1.0)
-        nodes = rng.choice(graph.n_nodes, size=6, replace=False)
+        g, roi = make_intensity(intensity), full_mask((4, 4, 2))
+        nodes = rng.choice(intensity.size, size=6, replace=False)
         labs = [1, 2, 3, 1, 2, 3]
         seeds_a = {int(n): l for n, l in zip(nodes, labs)}
         # permutation 1->3, 2->1, 3->2
         perm = {1: 3, 2: 1, 3: 2}
         seeds_b = {n: perm[l] for n, l in seeds_a.items()}
-        fa = solve_all(assemble(graph, seeds_a, LabelSet.from_ids([1, 2, 3])))
-        fb = solve_all(assemble(graph, seeds_b, LabelSet.from_ids([1, 2, 3])))
+        fa = solve_all(assemble(g, roi, seeds_a, 1.0, LabelSet.from_ids([1, 2, 3])))
+        fb = solve_all(assemble(g, roi, seeds_b, 1.0, LabelSet.from_ids([1, 2, 3])))
         for lab in (1, 2, 3):
             assert np.allclose(fa.column(lab), fb.column(perm[lab]), atol=1e-7)
 
@@ -238,13 +257,12 @@ class TestSolveAll:
         fields = []
         for _ in range(2):
             g = make_intensity(rng.random((4, 3, 3)))
-            graph = build_lattice(g, roi, 0.0)
-            fields.append(solve_all(assemble(graph, seeds)))
+            fields.append(solve_all(assemble(g, roi, seeds, 0.0)))
         assert np.array_equal(fields[0].values, fields[1].values)
 
     def test_uniform_chain_closed_form(self):
         L = 20
-        sys_ = assemble(uniform_chain(L), {0: 1, L - 1: 2})
+        sys_ = assemble(*uniform_chain(L), {0: 1, L - 1: 2}, 0.0)
         field = solve_all(sys_)
         k = np.arange(1, L - 1)  # the interior is the unseeded chain
         expect = 1.0 - k / (L - 1)
@@ -255,81 +273,117 @@ class TestSolveAll:
         intensity = rng.random(dims)
         roi = rng.random(dims) < 0.8
         roi[0, 0, 0] = True
-        graph = build_lattice(make_intensity(intensity), make_mask(roi), 3.0)
+        g, mask = make_intensity(intensity), make_mask(roi)
+        graph = build_lattice(g, mask, 3.0)
         comp = connected_components(graph)
         seeds = {}
         for c in range(comp.max() + 1):
             for n in rng.choice(np.flatnonzero(comp == c), size=1):
                 seeds[int(n)] = int(rng.integers(1, 4))
         seeds[int(np.flatnonzero(comp == 0)[0])] = 2
-        sys_ = assemble(graph, seeds, LabelSet.from_ids([1, 2, 3]))
+        seed_voxels = {int(graph.node_voxels[n]): lab for n, lab in seeds.items()}
+        sys_ = assemble(g, mask, seed_voxels, 3.0, LabelSet.from_ids([1, 2, 3]))
         field = solve_all(sys_)
         edges = list(
             zip(graph.edges_i.tolist(), graph.edges_j.tolist(), graph.weights.tolist())
         )
-        ref = dense_dirichlet(graph.n_nodes, edges, seeds, [1, 2, 3])[sys_.unseeded]
+        rows = np.searchsorted(graph.node_voxels, sys_.unseeded)
+        ref = dense_dirichlet(graph.n_nodes, edges, seeds, [1, 2, 3])[rows]
         assert np.abs(field.values - ref).max() < 1e-7
 
-    def test_stats_per_label(self):
-        sys_ = assemble(uniform_chain(6), {0: 1, 5: 2})
+    def test_stats_per_label(self, pcg_route):
+        sys_ = assemble(*uniform_chain(6), {0: 1, 5: 2}, 0.0)
         field = solve_all(sys_)
         assert [s.label_id for s in field.stats] == [1, 2]
         assert field.stats[0].iterations > 0
         assert field.stats[1].closure  # last label recovered by closure
 
-    def test_declared_label_without_seeds_gets_zero_mass(self):
+    def test_declared_label_without_seeds_gets_zero_mass(self, pcg_route):
         # label 9 is in the set but nothing is seeded with it, including the
         # closure slot: its column must come out (numerically) zero
-        sys_ = assemble(uniform_chain(5), {0: 1, 4: 2}, LabelSet.from_ids([1, 2, 9]))
+        sys_ = assemble(*uniform_chain(5), {0: 1, 4: 2}, 0.0, LabelSet.from_ids([1, 2, 9]))
         field = solve_all(sys_)
         assert np.abs(field.column(9)).max() <= 1e-7
 
-    def test_closure_label_holding_all_seeds(self):
+    def test_closure_label_holding_all_seeds(self, pcg_route):
         # every seed carries the largest label: zero solves, closure gives 1
-        sys_ = assemble(uniform_chain(4), {0: 2, 3: 2}, LabelSet.from_ids([1, 2]))
+        sys_ = assemble(*uniform_chain(4), {0: 2, 3: 2}, 0.0, LabelSet.from_ids([1, 2]))
         field = solve_all(sys_)
         assert np.array_equal(field.column(2), np.ones(2))
         assert np.array_equal(field.column(1), np.zeros(2))
         assert field.stats[0].iterations == 0  # zero rhs shortcut
 
-    def test_workers_match_serial(self, rng):
+    def test_workers_match_serial(self, rng, pcg_route):
         intensity = rng.random((5, 5, 3))
-        graph = build_lattice(make_intensity(intensity), full_mask((5, 5, 3)), 2.0)
-        nodes = rng.choice(graph.n_nodes, size=9, replace=False)
+        nodes = rng.choice(intensity.size, size=9, replace=False)
         seeds = {int(n): int(1 + (k % 3)) for k, n in enumerate(nodes)}
-        sys_ = assemble(graph, seeds, LabelSet.from_ids([1, 2, 3]))
+        g, roi = make_intensity(intensity), full_mask((5, 5, 3))
+        sys_ = assemble(g, roi, seeds, 2.0, LabelSet.from_ids([1, 2, 3]))
         serial = solve_all(sys_, workers=1)
         threaded = solve_all(sys_, workers=4)
         assert np.array_equal(serial.values, threaded.values)
 
 
+    def test_direct_route_matches_dense(self, rng):
+        for beta in (0.0, 1.0, 10.0):
+            intensity = rng.random((6, 5, 4))
+            roi = rng.random(intensity.shape) < 0.85
+            voxels = np.flatnonzero(roi.ravel(order="F"))
+            nodes = rng.choice(voxels, size=12, replace=False)
+            seeds = {int(n): int(rng.integers(1, 4)) for n in nodes}
+            labels = LabelSet.from_ids([1, 2, 3])
+            sys_ = assemble(make_intensity(intensity), make_mask(roi), seeds, beta, labels)
+            field = solve_all(sys_)
+            assert field.route == "direct" and field.direct_error is None
+            assert all(s.iterations == 0 and not s.closure for s in field.stats)
+            ref = dense_reference_solve(sys_)
+            assert np.abs(field.values - ref.values).max() <= 1e-12
+            assert np.abs(field.values.sum(axis=1) - 1.0).max() <= 1e-12
+
+    def test_route_follows_the_largest_block(self, monkeypatch):
+        sys_ = assemble(*uniform_chain(12), {0: 1, 11: 2}, 0.0)
+        assert sys_.largest_block == 10
+        monkeypatch.setattr(dirichlet, "DIRECT_BLOCK_LIMIT", 10)
+        assert solve_all(sys_).route == "direct"
+        monkeypatch.setattr(dirichlet, "DIRECT_BLOCK_LIMIT", 9)
+        field = solve_all(sys_)
+        assert field.route == "pcg"
+        assert field.stats[0].iterations > 0 and field.stats[1].closure
+
+    def test_block_over_the_budget_takes_pcg(self):
+        dims = (17, 17, 17)  # one block of 4911 unseeded nodes
+        sys_ = assemble(make_intensity(np.zeros(dims)), full_mask(dims), {0: 1, 4912: 2}, 0.0)
+        assert sys_.largest_block == 4911 > dirichlet.DIRECT_BLOCK_LIMIT
+        field = solve_all(sys_)
+        assert field.route == "pcg" and field.direct_error is None
+        assert np.abs(field.values.sum(axis=1) - 1.0).max() <= 1e-12
+
+
 class TestDenseReferenceSolve:
     def test_too_large(self):
         # 8000-node box with 2 seeds leaves 7998 unknowns, over the 4096 limit
-        graph = build_lattice(
-            make_intensity(np.zeros((20, 20, 20))), full_mask((20, 20, 20)), 0.0
-        )
-        sys_ = assemble(graph, {0: 1, 1: 2})
+        g, roi = make_intensity(np.zeros((20, 20, 20))), full_mask((20, 20, 20))
+        sys_ = assemble(g, roi, {0: 1, 1: 2}, 0.0)
         with pytest.raises(TooLarge):
             dense_reference_solve(sys_)
 
     def test_three_node_midpoint(self):
-        sys_ = assemble(uniform_chain(3), {0: 1, 2: 2})
+        sys_ = assemble(*uniform_chain(3), {0: 1, 2: 2}, 0.0)
         ref = dense_reference_solve(sys_)
         assert ref.values[0] == pytest.approx([0.5, 0.5], abs=1e-12)
 
     def test_four_node_gamblers_ruin(self):
-        sys_ = assemble(uniform_chain(4), {0: 1, 3: 2})
+        sys_ = assemble(*uniform_chain(4), {0: 1, 3: 2}, 0.0)
         ref = dense_reference_solve(sys_)
         assert ref.values[0, 0] == pytest.approx(2.0 / 3.0, abs=1e-12)
         assert ref.values[1, 0] == pytest.approx(1.0 / 3.0, abs=1e-12)
 
-    def test_agrees_with_iterative(self, rng):
+    def test_agrees_with_iterative(self, rng, pcg_route):
         intensity, _ = blobby_field((5, 6, 4), 3, rng)
-        graph = build_lattice(make_intensity(intensity), full_mask((5, 6, 4)), 1e4)
-        nodes = rng.choice(graph.n_nodes, size=30, replace=False)
+        nodes = rng.choice(intensity.size, size=30, replace=False)
         seeds = {int(n): int(rng.integers(1, 4)) for n in nodes}
-        sys_ = assemble(graph, seeds, LabelSet.from_ids([1, 2, 3]))
+        g, roi = make_intensity(intensity), full_mask((5, 6, 4))
+        sys_ = assemble(g, roi, seeds, 1e4, LabelSet.from_ids([1, 2, 3]))
         it = solve_all(sys_)
         ref = dense_reference_solve(sys_)
         assert np.abs(it.values - ref.values).max() < 1e-6
@@ -349,7 +403,7 @@ class TestFinalizeProbabilities:
             _finalize_probabilities(values)
 
 
-def test_white_noise_beta1e4_conditioning_limit(rng):
+def test_white_noise_beta1e4_conditioning_limit(rng, pcg_route):
     """At beta=1e4 on white-noise intensities most weights hit the 1e-10
     floor; strong-coupled voxel clusters anchored only through floored edges
     make the system quasi-singular (condition ~1e10), and no double-precision
@@ -357,27 +411,41 @@ def test_white_noise_beta1e4_conditioning_limit(rng):
     boundary: the iterative and dense routes still agree to ~1e-3."""
     dims = (6, 6, 6)
     g = make_intensity(rng.random(dims))
-    graph = build_lattice(g, full_mask(dims), 1e4)
-    seeds = {0: 1, graph.n_nodes - 1: 2}
-    sys_ = assemble(graph, seeds)
+    seeds = {0: 1, g.n_voxels - 1: 2}
+    sys_ = assemble(g, full_mask(dims), seeds, 1e4)
     it = solve_all(sys_, SolverConfig(max_iters=100_000))
     ref = dense_reference_solve(sys_)
     gap = np.abs(it.values - ref.values).max()
     assert gap < 1e-2  # loose by necessity; see docstring
 
 
+def _floored_cluster_system():
+    # a 4x2x2 roi with white-noise guidance at beta 50: three nodes reach
+    # their only seed (label 2) through floored edges alone
+    rng = np.random.default_rng(1821)
+    dims = (4, 2, 2)
+    g = make_intensity(rng.random(dims))
+    k = rng.integers(2, 5)
+    nodes = rng.choice(g.n_voxels, k, replace=False)
+    seeds = (nodes, rng.choice([2, 5], k))
+    return assemble(g, full_mask(dims), seeds, 50.0, LabelSet.from_ids([2, 5]))
+
+
+def test_floored_cluster_stops_early_white_noise_beta50():
+    sys_ = _floored_cluster_system()
+    field = solve_all(sys_)
+    assert field.route == "direct"
+    gap = np.abs(field.values - dense_reference_solve(sys_).values).max()
+    assert gap <= 1e-6  # the oracle tolerance of test_oracle_equivalence
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="the relative stopping test of _pcg is met while nodes linked to "
     "their only seed by floored edges are still at 0; closure then gives them "
-    "the largest label (ROADMAP item 2)",
+    "the largest label (ROADMAP item 1)",
 )
-def test_floored_cluster_stops_early_white_noise_beta50():
-    rng = np.random.default_rng(1821)
-    dims = (4, 2, 2)
-    graph = build_lattice(make_intensity(rng.random(dims)), full_mask(dims), 50.0)
-    k = rng.integers(2, 5)
-    nodes = rng.choice(graph.n_nodes, k, replace=False)
-    sys_ = assemble(graph, (nodes, rng.choice([2, 5], k)), LabelSet.from_ids([2, 5]))
+def test_floored_cluster_stops_early_white_noise_beta50_pcg(pcg_route):
+    sys_ = _floored_cluster_system()
     gap = np.abs(solve_all(sys_).values - dense_reference_solve(sys_).values).max()
     assert gap <= 1e-6  # the oracle tolerance of test_oracle_equivalence

@@ -19,6 +19,7 @@ from voxprop import (
     propagate,
     propagate_bilateral,
 )
+from voxprop import dirichlet
 from voxprop.propagate import PropagationRequest
 
 from conftest import annotation_from_sets, full_mask, make_intensity, make_mask
@@ -449,6 +450,39 @@ class TestBilateral:
         assert {"n_gap_voxels", "n_gap_filled"} <= report.keys()
         report = propagate(req).report
         assert {"n_seedless_voxels", "n_policy_filled"} <= report.keys()
+
+
+def test_report_gives_blocks_and_route():
+    # unseeded voxels: x = 1 (between the seeds) and the island at x = 4
+    report = propagate(island_request("background")).report
+    assert report["n_blocks"] == 2 and report["seedless_components"] == [1]
+    assert report["largest_block"] == 1
+    assert report["route"] == "direct" and report["direct_error"] is None
+
+
+def test_failed_sparse_lu_falls_back_to_pcg(rng, monkeypatch, caplog):
+    dims = (6, 5, 4)
+    sets = {tuple(int(c) for c in v): {int(rng.choice(LABELS.ids))}
+            for v in zip(*np.nonzero(rng.random(dims) < 0.1))}
+    req = PropagationRequest(
+        guidance=make_intensity(rng.random(dims)), roi=full_mask(dims),
+        annotation=annotation_from_sets(LABELS, dims, sets), beta=5.0,
+    )
+    direct = propagate(req)
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("no room for the factor")
+
+    monkeypatch.setattr(dirichlet, "splu", out_of_memory)
+    with caplog.at_level("WARNING", logger="voxprop.dirichlet"):
+        res = propagate(req)
+    assert direct.report["route"] == "direct"
+    assert res.report["route"] == "pcg"
+    assert res.report["direct_error"] == "MemoryError: no room for the factor"
+    assert "sparse LU failed" in caplog.text
+    assert res.report["total_iterations"] > 0
+    for a, b in zip(res.soft, direct.soft):
+        assert np.abs(a.data - b.data).max() <= 1e-6
 
 
 def test_pocket_carve_out_matches_smaller_roi(rng):

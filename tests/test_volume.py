@@ -34,6 +34,15 @@ class TestVolume3D:
         with pytest.raises(ValueError):
             v.data[0, 0, 0] = 1.0
 
+    def test_caller_array_is_copied(self):
+        for kind, arr in (("intensity", np.zeros((2, 2, 2))),
+                          ("probability", np.zeros((2, 2, 2))),
+                          ("label", np.zeros((2, 2, 2), np.uint16)),
+                          ("mask", np.zeros((2, 2, 2), bool))):
+            v = Volume3D(arr, kind)
+            arr[0, 0, 0] = 1  # a later write by the caller
+            assert v.data[0, 0, 0] == 0, kind
+
     def test_mask_rejects_other_values(self):
         with pytest.raises(ValueError):
             Volume3D(np.full((2, 2, 2), 3), "mask")
