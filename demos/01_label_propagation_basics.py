@@ -17,7 +17,6 @@ from voxprop import (
     dense_reference_solve,
     edge_weight,
     solve_all,
-    solve_label,
 )
 from voxprop.dirichlet import DIRECT_BLOCK_LIMIT
 
@@ -71,5 +70,3 @@ print(f"  {system.n_unseeded} unknowns in blocks of at most {system.largest_bloc
       f"so solve_all takes the {fast.route!r} route (sparse LU up to "
       f"{DIRECT_BLOCK_LIMIT} nodes per block, conjugate gradients above)")
 print(f"  solve_all vs dense-factorization gap: {np.abs(fast.values - ref.values).max():.2e}")
-x = solve_label(system, 1)  # always conjugate gradients
-print(f"  conjugate-gradient solve of label 1 vs dense: {np.abs(x - ref.column(1)).max():.2e}")

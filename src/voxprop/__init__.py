@@ -33,7 +33,6 @@ _EXPORTS = {
         "assemble",
         "dense_reference_solve",
         "solve_all",
-        "solve_label",
     ),
     "errors": (
         "BadMagic",
@@ -65,10 +64,7 @@ _EXPORTS = {
         "majority_vote",
     ),
     "lattice": (
-        "LatticeGraph",
         "W_FLOOR",
-        "build_lattice",
-        "connected_components",
         "edge_weight",
     ),
     "nifti": (

@@ -205,9 +205,8 @@ def assemble(
 
     Only the unseeded roi voxels and their neighbours are visited. The
     U-U graph is searched once for its components, the blocks; blocks that
-    reach no seed are pockets and are left out of L_U and B. Edge weights
-    equal those of `build_lattice` bitwise, and a voxel's degree sums its
-    edge weights in `lattice.DIRECTIONS` order.
+    reach no seed are pockets and are left out of L_U and B. A voxel's
+    degree sums its edge weights in `lattice.DIRECTIONS` order.
 
     Parameters
     ----------
@@ -224,7 +223,7 @@ def assemble(
     NoSeeds
         If no seed is given.
     DimMismatch, EmptyRoi, NonFiniteInput
-        As `build_lattice`.
+        As `lattice.lattice_inputs`.
     """
     intensity, inside, beta = lattice_inputs(guidance, roi, beta)
     seed_voxels, seed_labels = _coerce_seeds(seeds)
@@ -347,6 +346,11 @@ def _pcg(A, b, minv, rel_tol, max_iters):
 
 
 def _solve_one(sys: DirichletSystem, label: int, cfg: SolverConfig):
+    """One label's x over `sys.unseeded` by PCG, and its stats.
+
+    A label with no seeds gives zeros without iterating. Raises
+    ConvergenceFailure, with the achieved residual, at the iteration cap.
+    """
     m_vec = (sys.seed_labels == int(label)).astype(np.float64)
     n_u = sys.n_unseeded
     if n_u == 0:
@@ -365,25 +369,6 @@ def _solve_one(sys: DirichletSystem, label: int, cfg: SolverConfig):
             residual=res,
         )
     return x, LabelSolveStats(int(label), iters, float(res))
-
-
-def solve_label(
-    sys: DirichletSystem, label: int, cfg: SolverConfig = SolverConfig()
-) -> np.ndarray:
-    """Probabilities of one label over the unseeded nodes.
-
-    Returns the solution of ``L_U x = -B m_label``, ordered like
-    `sys.unseeded`; a label with no seeds anywhere yields the zero vector
-    without iterating. Seeds and nodes of seedless components are not in
-    `sys.unseeded` and have no entry.
-
-    Raises
-    ------
-    ConvergenceFailure
-        If the iteration cap is hit (the achieved residual is attached).
-    """
-    x, _ = _solve_one(sys, label, cfg)
-    return x
 
 
 def solve_all(

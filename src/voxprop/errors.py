@@ -82,8 +82,8 @@ class ConvergenceFailure(VoxpropError):
 
 
 class SeedlessComponent(VoxpropError):
-    """One or more roi components contain no seed of any label, making the
-    unseeded block singular there.
+    """One or more blocks of unseeded voxels have no edge to a seed, so a
+    random walker started there never reaches one.
 
     Attributes
     ----------

@@ -10,14 +10,12 @@ An edge joins two neighbouring roi voxels, with Gaussian intensity affinity
 clamped below at ``W_FLOOR`` so extreme contrast cannot disconnect the
 graph numerically.
 
-The propagation pipeline never builds the whole roi's graph: `assemble`
-visits only the unseeded voxels' neighbourhoods. `build_lattice` and
-`connected_components` give the whole graph, for inspection and tests.
+The whole roi's graph is never built: `assemble` visits only the unseeded
+voxels' neighbourhoods, and `block_ids` finds the components of the graph
+between them.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -125,88 +123,3 @@ def block_ids(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     order = np.empty(len(first), dtype=np.int64)
     order[np.argsort(first)] = np.arange(len(first))
     return order[raw]
-
-
-@dataclass(frozen=True)
-class LatticeGraph:
-    """Undirected weighted 6-connectivity graph over roi voxels.
-
-    Attributes
-    ----------
-    dims : (nx, ny, nz)
-    node_ids : int64 array, shape dims
-        Dense node id per voxel, -1 outside the roi. Ids follow x-fastest
-        voxel order.
-    node_voxels : int64 array, shape (n_nodes,)
-        Inverse map: x-fastest flat voxel index of each node.
-    edges_i, edges_j : int64 arrays, shape (n_edges,)
-        Endpoint node ids with ``edges_i < edges_j`` (each pair stored once).
-    weights : float64 array, shape (n_edges,)
-        Edge weights in (0, 1].
-    beta : float
-    """
-
-    dims: tuple[int, int, int]
-    node_ids: np.ndarray
-    node_voxels: np.ndarray
-    edges_i: np.ndarray
-    edges_j: np.ndarray
-    weights: np.ndarray
-    beta: float
-
-    def __post_init__(self):
-        for name in ("node_ids", "node_voxels", "edges_i", "edges_j", "weights"):
-            getattr(self, name).setflags(write=False)
-
-    @property
-    def n_nodes(self) -> int:
-        return int(self.node_voxels.size)
-
-    @property
-    def n_edges(self) -> int:
-        return int(self.weights.size)
-
-
-def build_lattice(g: Volume3D, roi: Volume3D, beta: float) -> LatticeGraph:
-    """Build the 6-connected lattice over roi voxels of a guidance image.
-
-    Intensities are taken as-is; normalize them to [0, 1] first if the
-    usual beta scale (~1e4) is intended. Edges come axis by axis (x, y, z),
-    each axis in node order.
-
-    Raises
-    ------
-    DimMismatch, EmptyRoi, NonFiniteInput
-    """
-    intensity, inside, beta = lattice_inputs(g, roi, beta)
-    dims = roi.dims
-    node_voxels = np.flatnonzero(inside)
-    ids_flat = np.full(inside.size, -1, dtype=np.int64)
-    ids_flat[node_voxels] = np.arange(node_voxels.size)
-
-    ei_parts, ej_parts, w_parts = [], [], []
-    # the +axis neighbour has the larger flat index, hence the larger id
-    for nb in neighbor_voxels(node_voxels, inside, dims)[:3]:
-        has = np.flatnonzero(nb >= 0)
-        ei_parts.append(has)
-        ej_parts.append(ids_flat[nb[has]])
-        w_parts.append(_weights(intensity[node_voxels[has]], intensity[nb[has]], beta))
-
-    return LatticeGraph(
-        dims=dims,
-        node_ids=ids_flat.reshape(dims, order="F"),
-        node_voxels=node_voxels,
-        edges_i=np.concatenate(ei_parts),
-        edges_j=np.concatenate(ej_parts),
-        weights=np.concatenate(w_parts),
-        beta=beta,
-    )
-
-
-def connected_components(graph: LatticeGraph) -> np.ndarray:
-    """Component id per node, ids ordered by each component's minimal node.
-
-    Component 0 contains node 0; the next component encountered while
-    scanning node ids upward gets 1, and so on.
-    """
-    return block_ids(graph.n_nodes, graph.edges_i, graph.edges_j)

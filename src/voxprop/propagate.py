@@ -29,6 +29,7 @@ from .errors import (
     OverlappingHemispheres,
     SeedlessComponent,
 )
+from .lattice import _check_beta
 from .volume import (
     BACKGROUND_ID,
     LabelSet,
@@ -49,14 +50,13 @@ class PropagationRequest:
 
     guidance supplies the edge-weight intensities (normalize to [0, 1]
     before building the request if beta is on its usual ~1e4 scale); roi
-    bounds the solve; the annotation provides seeds after conflict
-    stripping. `labels` defaults to the annotation's label set.
+    bounds the solve; the annotation provides the label set, and the seeds
+    after conflict stripping.
     """
 
     guidance: Volume3D
     roi: Volume3D
     annotation: MultiLabelAnnotation
-    labels: LabelSet | None = None
     beta: float = 10_000.0
     solver: SolverConfig = field(default_factory=SolverConfig)
     seedless_policy: str = "nearest_seed"
@@ -71,18 +71,11 @@ class PropagationRequest:
                 f"guidance {self.guidance.dims}, roi {self.roi.dims}, "
                 f"annotation {self.annotation.dims} must share dims"
             )
-        if self.labels is not None and self.labels != self.annotation.labels:
-            raise ValueError("request labels differ from the annotation's label set")
-        if not float(self.beta) >= 0:
-            raise ValueError(f"beta must be >= 0, got {self.beta}")
+        _check_beta(self.beta)
         if self.seedless_policy not in SEEDLESS_POLICIES:
             raise ValueError(
                 f"seedless_policy {self.seedless_policy!r} not in {SEEDLESS_POLICIES}"
             )
-
-    @property
-    def label_set(self) -> LabelSet:
-        return self.labels if self.labels is not None else self.annotation.labels
 
 
 @dataclass(frozen=True)
@@ -127,7 +120,7 @@ def _solve_region(req: PropagationRequest, roi: Volume3D, seeds, conflicts, work
     the seeds first and then, under nearest_seed, the seedless pockets; and
     the region's report.
     """
-    labels = req.label_set
+    labels = req.annotation.labels
     seeds_in = (seeds > 0) & roi.data
     if not seeds_in.any():
         raise NoSeedsInRoi("no single-labeled voxel inside the roi")
@@ -222,7 +215,8 @@ def propagate(req: PropagationRequest, workers: int = 1) -> PropagationResult:
     NoSeedsInRoi
         If, after conflict stripping, no single-labeled voxel lies in the roi.
     SeedlessComponent
-        Under ``seedless_policy="error"`` when a roi component has no seed.
+        Under ``seedless_policy="error"`` when an unseeded block has no edge
+        to a seed.
     """
     seeds_vol, conflict_vol = strip_conflicts(req.annotation)
     n_outside = int(((seeds_vol.data > 0) & ~req.roi.data).sum())
@@ -231,9 +225,10 @@ def propagate(req: PropagationRequest, workers: int = 1) -> PropagationResult:
     solved, fills, report = _solve_region(
         req, req.roi, seeds_vol.data, conflict_vol.data, workers
     )
-    soft, hard = _write_volumes(req.roi, req.label_set, [solved], fills)
+    labels = req.annotation.labels
+    soft, hard = _write_volumes(req.roi, labels, [solved], fills)
     report = {"n_seeds_outside_roi": n_outside, **report}
-    return PropagationResult(req.label_set, soft, hard, report)
+    return PropagationResult(labels, soft, hard, report)
 
 
 def propagate_bilateral(
@@ -265,7 +260,7 @@ def propagate_bilateral(
     if (union & ~req.roi.data).any():
         raise ValueError("hemisphere masks extend outside the roi")
 
-    labels = req.label_set
+    labels = req.annotation.labels
     seeds_vol, conflict_vol = strip_conflicts(req.annotation)
     seeds = seeds_vol.data
     n_outside = int(((seeds > 0) & ~union).sum())

@@ -9,6 +9,8 @@ functions can serve as ground truth for the library's fast paths.
 from __future__ import annotations
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 
 def brute_force_edges(roi: np.ndarray, intensity: np.ndarray, beta: float):
@@ -38,6 +40,17 @@ def brute_force_edges(roi: np.ndarray, intensity: np.ndarray, beta: float):
     w = np.maximum(np.exp(-beta * np.asarray(diffs, dtype=np.float64) ** 2), 1e-10)
     edges = [(i, j, float(wk)) for (i, j), wk in zip(pairs, w)]
     return nid, node_of, edges
+
+
+def edge_components(n_nodes: int, edges) -> np.ndarray:
+    """Component id per node of the graph with `edges`, by scipy's search.
+
+    scipy labels components in order of their smallest node, so node 0 is in
+    component 0.
+    """
+    ij = np.asarray([(i, j) for i, j, _ in edges], dtype=np.int64).reshape(-1, 2)
+    adj = coo_matrix((np.ones(len(ij)), (ij[:, 0], ij[:, 1])), shape=(n_nodes, n_nodes))
+    return connected_components(adj, directed=False)[1]
 
 
 def brute_force_partition(roi: np.ndarray, intensity: np.ndarray, beta: float, seeds: dict):

@@ -17,8 +17,6 @@ from voxprop import (
     UnsupportedDatatype,
     Volume3D,
     assemble,
-    build_lattice,
-    connected_components,
     dense_reference_solve,
     dice,
     dice_report,
@@ -33,7 +31,12 @@ from voxprop.propagate import PropagationRequest
 from voxprop.phantom import PhantomBlob, PhantomSpec, make_phantom
 
 from conftest import full_mask, make_intensity, make_mask
-from helpers import blobby_field, mc_absorption_frequencies
+from helpers import (
+    blobby_field,
+    brute_force_edges,
+    edge_components,
+    mc_absorption_frequencies,
+)
 
 
 def _pass(name):
@@ -136,15 +139,16 @@ def _random_lattice_and_seeds(rng):
         roi_data = rng.random(dims) < 0.85
         roi_data.ravel()[int(rng.integers(0, roi_data.size))] = True
 
-    graph = build_lattice(make_intensity(intensity), make_mask(roi_data), beta)
-    comp = connected_components(graph)
+    n_nodes, _, edges = brute_force_edges(roi_data, intensity, beta)
+    comp = edge_components(n_nodes, edges)
+    node_voxels = np.flatnonzero(roi_data.ravel(order="F"))  # node ids scan x-fastest
 
     seeds = {}
-    k = max(2, int(0.05 * graph.n_nodes))
-    for n in rng.choice(graph.n_nodes, size=min(k, graph.n_nodes), replace=False):
+    k = max(2, int(0.05 * n_nodes))
+    for n in rng.choice(n_nodes, size=min(k, n_nodes), replace=False):
         seeds[int(n)] = int(rng.integers(1, n_labels + 1))
     if blob is not None:
-        blob_of_node = blob.ravel(order="F")[graph.node_voxels]
+        blob_of_node = blob.ravel(order="F")[node_voxels]
         for b in range(blob_of_node.max() + 1):
             nodes = np.flatnonzero(blob_of_node == b)
             if nodes.size and not any(int(n) in seeds for n in nodes):
@@ -158,7 +162,7 @@ def _random_lattice_and_seeds(rng):
     if len({v for v in seeds.values()}) < 2:
         other = next(n for n in sorted(seeds) if n != first)
         seeds[other] = 1 if seeds[first] != 1 else 2
-    seed_voxels = {int(graph.node_voxels[n]): lab for n, lab in seeds.items()}
+    seed_voxels = {int(node_voxels[n]): lab for n, lab in seeds.items()}
     return make_intensity(intensity), make_mask(roi_data), seed_voxels, labels, beta
 
 
@@ -207,6 +211,7 @@ def test_closed_form_chains():
 # --- criterion: Monte-Carlo absorption -----------------------------------------
 
 def _mc_lattices():
+    # full rois, so a voxel's x-fastest flat index is its node id
     # 1: uniform 12-chain, ends seeded
     g1 = np.zeros((1, 1, 12))
     roi1 = np.ones((1, 1, 12), dtype=bool)
@@ -214,22 +219,20 @@ def _mc_lattices():
     # 2: uniform 4x4x4 box, two opposite faces seeded
     g2 = np.zeros((4, 4, 4))
     roi2 = np.ones((4, 4, 4), dtype=bool)
-    graph2 = build_lattice(make_intensity(g2), make_mask(roi2), 0.0)
     seeds2 = {}
     for y in range(4):
         for z in range(4):
-            seeds2[int(graph2.node_ids[0, y, z])] = 1
-            seeds2[int(graph2.node_ids[3, y, z])] = 2
+            seeds2[int(np.ravel_multi_index((0, y, z), g2.shape, order="F"))] = 1
+            seeds2[int(np.ravel_multi_index((3, y, z), g2.shape, order="F"))] = 2
     # 3: 5x5x7 nonuniform weights (blobby field, beta=5), two faces seeded
     rng = np.random.default_rng(99)
     g3, _ = blobby_field((5, 5, 7), 3, rng, sigma=0.02)
     roi3 = np.ones((5, 5, 7), dtype=bool)
-    graph3 = build_lattice(make_intensity(g3), make_mask(roi3), 5.0)
     seeds3 = {}
     for x in range(5):
         for y in range(5):
-            seeds3[int(graph3.node_ids[x, y, 0])] = 1
-            seeds3[int(graph3.node_ids[x, y, 6])] = 2
+            seeds3[int(np.ravel_multi_index((x, y, 0), g3.shape, order="F"))] = 1
+            seeds3[int(np.ravel_multi_index((x, y, 6), g3.shape, order="F"))] = 2
     cases = [
         ("12-chain", np.zeros((1, 1, 12)), roi1, 0.0, seeds1),
         ("4x4x4 two faces", g2, roi2, 0.0, seeds2),
@@ -244,18 +247,18 @@ def test_monte_carlo_absorption():
     n_walks = 100_000
     worst = 0.0
     for name, g, roi_data, beta, seeds in _mc_lattices():
-        guidance, roi = make_intensity(g), make_mask(roi_data)
-        graph = build_lattice(guidance, roi, beta)
-        assert graph.n_nodes <= 200
+        n_nodes, node_of, edges = brute_force_edges(roi_data, g, beta)
+        assert n_nodes <= 200
+        # a walker takes its neighbours in edge order; list the edges axis by
+        # axis (x, y, z), each axis in node order, so the walks stay as drawn
+        coord = {i: c for c, i in node_of.items()}
+        edges.sort(key=lambda e: (np.flatnonzero(np.subtract(coord[e[1]], coord[e[0]]))[0], e[0]))
         labels = LabelSet.from_ids(sorted(set(seeds.values())))
-        sys_ = assemble(guidance, roi, seeds, beta, labels)  # full roi: voxel = node
+        sys_ = assemble(make_intensity(g), make_mask(roi_data), seeds, beta, labels)
         field = solve_all(sys_)
-        edges = list(
-            zip(graph.edges_i.tolist(), graph.edges_j.tolist(), graph.weights.tolist())
-        )
         for node in sys_.unseeded:
             freqs = mc_absorption_frequencies(
-                graph.n_nodes, edges, seeds, labels.ids, int(node), n_walks, rng
+                n_nodes, edges, seeds, labels.ids, int(node), n_walks, rng
             )
             row = np.searchsorted(sys_.unseeded, node)
             gap = float(np.abs(freqs - field.values[row]).max())

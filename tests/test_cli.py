@@ -120,6 +120,22 @@ class TestPropagateCommand:
         )
         assert code == 2
 
+    def test_nan_beta_exits_2(self, tmp_path, phantom_files, capsys):
+        code = run(
+            [
+                "propagate",
+                "--guidance", phantom_files["guidance"],
+                "--roi", phantom_files["roi"],
+                "--labels", phantom_files["labels"],
+                "--annotation", *phantom_files["annotation"],
+                "--out", tmp_path / "out",
+                "--beta", "nan",
+            ]
+        )
+        assert code == 2
+        assert "beta is nan" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_policy_error_on_seedless_island_exits_3(self, tmp_path, capsys):
         # roi bar plus island; seeds only in the bar
         dims = (6, 1, 1)

@@ -8,18 +8,21 @@ from voxprop import (
     SolverConfig,
     TooLarge,
     assemble,
-    build_lattice,
-    connected_components,
     dense_reference_solve,
     edge_weight,
     solve_all,
-    solve_label,
 )
 from voxprop import dirichlet
 from voxprop.dirichlet import _finalize_probabilities
 
 from conftest import full_mask, make_intensity, make_mask
-from helpers import blobby_field, brute_force_partition, dense_dirichlet
+from helpers import (
+    blobby_field,
+    brute_force_edges,
+    brute_force_partition,
+    dense_dirichlet,
+    edge_components,
+)
 
 
 def uniform_chain(length):
@@ -110,35 +113,41 @@ def _partition_cases(rng):
 
 
 class TestSolveLabel:
-    def test_symmetric_midpoint(self):
+    """One label's column, solved by conjugate gradients on the PCG route."""
+
+    def test_symmetric_midpoint(self, pcg_route):
         sys_ = assemble(*uniform_chain(3), {0: 1, 2: 2}, 0.0)
-        x = solve_label(sys_, 1)
+        x = solve_all(sys_).column(1)
         assert x[0] == pytest.approx(0.5, abs=1e-9)
 
-    def test_four_node_thirds(self):
+    def test_four_node_thirds(self, pcg_route):
         sys_ = assemble(*uniform_chain(4), {0: 1, 3: 2}, 0.0)
         ref = dense_dirichlet(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)], {0: 1, 3: 2}, [1, 2])
-        x = solve_label(sys_, 1)
+        x = solve_all(sys_).column(1)
         assert np.allclose(x, ref[1:3, 0], atol=1e-9)
         assert np.allclose(x, [2.0 / 3.0, 1.0 / 3.0], atol=1e-9)
 
-    def test_weighted_path_two_thirds(self):
+    def test_weighted_path_two_thirds(self, pcg_route):
         # weights 1 and 1/2: middle node L_U = [3/2], rhs = 1 -> x = 2/3
         g = make_intensity(np.array([0.0, 0.0, 1.0]).reshape(1, 1, 3))
         beta = np.log(2.0)
         sys_ = assemble(g, full_mask((1, 1, 3)), {0: 1, 2: 2}, beta)
-        x = solve_label(sys_, 1)
+        x = solve_all(sys_).column(1)
         assert x[0] == pytest.approx(2.0 / 3.0, abs=1e-9)
         edges = [(0, 1, 1.0), (1, 2, edge_weight(0.0, 1.0, beta))]
         ref = dense_dirichlet(3, edges, {0: 1, 2: 2}, [1, 2])
         assert x[0] == pytest.approx(ref[1, 0], abs=1e-9)
 
-    def test_label_with_no_seeds_returns_zero_without_iterating(self):
-        sys_ = assemble(*uniform_chain(4), {0: 1, 3: 1}, 0.0, LabelSet.from_ids([1, 2]))
-        x = solve_label(sys_, 2)
-        assert np.array_equal(x, np.zeros(2))
+    def test_label_with_no_seeds_returns_zero_without_iterating(self, pcg_route):
+        # label 2 is a head label (the last one, 3, is closure) with no seeds
+        labels = LabelSet.from_ids([1, 2, 3])
+        sys_ = assemble(*uniform_chain(4), {0: 1, 3: 3}, 0.0, labels)
+        field = solve_all(sys_)
+        assert np.array_equal(field.column(2), np.zeros(2))
+        assert field.stats[1].label_id == 2 and field.stats[1].iterations == 0
+        assert field.stats[0].iterations > 0
 
-    def test_seedless_chain_left_out_of_the_system(self, rng):
+    def test_seedless_chain_left_out_of_the_system(self, rng, monkeypatch):
         # x = 0..2 is a chain with no seed (a pocket); x = 4..8 a seeded chain
         dims = (9, 1, 1)
         guidance = make_intensity(rng.random(dims))
@@ -162,15 +171,17 @@ class TestSolveLabel:
             got, ref = solve(both).values, solve(alone).values
             assert got.shape == (2, 3)
             assert got.tobytes() == ref.tobytes()
+        monkeypatch.setattr(dirichlet, "DIRECT_BLOCK_LIMIT", 0)
+        got, ref = solve_all(both), solve_all(alone)
+        assert got.route == "pcg"
         for lab in labels.ids:
-            x = solve_label(both, lab)
-            assert x.shape == (2,)
-            assert x.tobytes() == solve_label(alone, lab).tobytes()
+            assert got.column(lab).shape == (2,)
+            assert got.column(lab).tobytes() == ref.column(lab).tobytes()
 
-    def test_convergence_failure_reports_residual(self):
+    def test_convergence_failure_reports_residual(self, pcg_route):
         sys_ = assemble(*uniform_chain(40), {0: 1, 39: 2}, 0.0)
         with pytest.raises(ConvergenceFailure) as exc:
-            solve_label(sys_, 1, SolverConfig(max_iters=2))
+            solve_all(sys_, SolverConfig(max_iters=2))
         assert exc.value.iterations == 2
         assert exc.value.residual is not None and exc.value.residual > 0
 
@@ -189,18 +200,18 @@ class TestSolveAll:
     def test_grid_center_half_half(self):
         # 3x3x1 uniform grid, two adjacent corners seeded A, the other two B
         g, roi = make_intensity(np.zeros((3, 3, 1))), full_mask((3, 3, 1))
-        ids = build_lattice(g, roi, 0.0).node_ids[:, :, 0]
+        _, node_of, _ = brute_force_edges(roi.data, g.data, 0.0)  # full roi: node = voxel
         seeds = {
-            int(ids[0, 0]): 1,
-            int(ids[2, 0]): 1,
-            int(ids[0, 2]): 2,
-            int(ids[2, 2]): 2,
+            node_of[0, 0, 0]: 1,
+            node_of[2, 0, 0]: 1,
+            node_of[0, 2, 0]: 2,
+            node_of[2, 2, 0]: 2,
         }
         sys_ = assemble(g, roi, seeds, 0.0)
         field = solve_all(sys_)
         ref = dense_reference_solve(sys_)
         assert np.allclose(field.values, ref.values, atol=1e-8)
-        center = np.searchsorted(sys_.unseeded, int(ids[1, 1]))
+        center = np.searchsorted(sys_.unseeded, node_of[1, 1, 0])
         assert field.values[center] == pytest.approx([0.5, 0.5], abs=1e-9)
 
     def test_rows_sum_to_one_and_in_range(self, rng):
@@ -218,21 +229,21 @@ class TestSolveAll:
         # unseeded solution is the weight-normalized neighbor average
         intensity = rng.random((5, 5, 2))
         g, roi = make_intensity(intensity), full_mask((5, 5, 2))
-        graph = build_lattice(g, roi, 2.0)
-        nodes = rng.choice(graph.n_nodes, size=8, replace=False)
+        n_nodes, _, edges = brute_force_edges(roi.data, intensity, 2.0)
+        nodes = rng.choice(n_nodes, size=8, replace=False)
         seeds = {int(n): int(rng.integers(1, 3)) for n in nodes}
         sys_ = assemble(g, roi, seeds, 2.0)  # full roi: voxel = node
         cfg = SolverConfig()
         field = solve_all(sys_, cfg)
-        ei, ej, w = graph.edges_i, graph.edges_j, graph.weights
-        deg = np.bincount(ei, w, graph.n_nodes) + np.bincount(ej, w, graph.n_nodes)
+        ei, ej, w = (np.array(col) for col in zip(*edges))
+        deg = np.bincount(ei, w, n_nodes) + np.bincount(ej, w, n_nodes)
         unseeded = sys_.unseeded
         for col, lab in enumerate(sys_.label_ids):
-            x = np.zeros(graph.n_nodes)  # seeds one-hot, then the solved rows
+            x = np.zeros(n_nodes)  # seeds one-hot, then the solved rows
             x[sys_.seed_voxels] = sys_.seed_labels == lab
             x[unseeded] = field.values[:, col]
-            weighted = np.bincount(ei, w * x[ej], graph.n_nodes)
-            weighted += np.bincount(ej, w * x[ei], graph.n_nodes)
+            weighted = np.bincount(ei, w * x[ej], n_nodes)
+            weighted += np.bincount(ej, w * x[ei], n_nodes)
             avg = weighted / deg
             tol = 10 * cfg.rel_tol * max(np.abs(x).max(), 1.0)
             assert np.abs(x[unseeded] - avg[unseeded]).max() <= tol
@@ -274,21 +285,19 @@ class TestSolveAll:
         roi = rng.random(dims) < 0.8
         roi[0, 0, 0] = True
         g, mask = make_intensity(intensity), make_mask(roi)
-        graph = build_lattice(g, mask, 3.0)
-        comp = connected_components(graph)
+        n_nodes, _, edges = brute_force_edges(roi, intensity, 3.0)
+        comp = edge_components(n_nodes, edges)
+        node_voxels = np.flatnonzero(roi.ravel(order="F"))  # node ids scan x-fastest
         seeds = {}
         for c in range(comp.max() + 1):
             for n in rng.choice(np.flatnonzero(comp == c), size=1):
                 seeds[int(n)] = int(rng.integers(1, 4))
         seeds[int(np.flatnonzero(comp == 0)[0])] = 2
-        seed_voxels = {int(graph.node_voxels[n]): lab for n, lab in seeds.items()}
+        seed_voxels = {int(node_voxels[n]): lab for n, lab in seeds.items()}
         sys_ = assemble(g, mask, seed_voxels, 3.0, LabelSet.from_ids([1, 2, 3]))
         field = solve_all(sys_)
-        edges = list(
-            zip(graph.edges_i.tolist(), graph.edges_j.tolist(), graph.weights.tolist())
-        )
-        rows = np.searchsorted(graph.node_voxels, sys_.unseeded)
-        ref = dense_dirichlet(graph.n_nodes, edges, seeds, [1, 2, 3])[rows]
+        rows = np.searchsorted(node_voxels, sys_.unseeded)
+        ref = dense_dirichlet(n_nodes, edges, seeds, [1, 2, 3])[rows]
         assert np.abs(field.values - ref).max() < 1e-7
 
     def test_stats_per_label(self, pcg_route):

@@ -8,13 +8,12 @@ from voxprop import (
     EmptyRoi,
     NonFiniteInput,
     W_FLOOR,
-    build_lattice,
-    connected_components,
+    assemble,
     edge_weight,
 )
+from voxprop.lattice import block_ids
 
 from conftest import full_mask, make_intensity, make_mask
-from helpers import brute_force_edges
 
 
 class TestEdgeWeight:
@@ -72,133 +71,122 @@ class TestEdgeWeight:
         assert w[0] == 1.0
 
 
+def one_seed_system(guidance, roi, beta):
+    """The Dirichlet system over `roi` with one seed, at its first voxel."""
+    first = int(np.flatnonzero(roi.data.ravel(order="F"))[0])
+    return assemble(guidance, roi, {first: 1}, beta)
+
+
+def n_edges(sys_):
+    """U-U edges (stored twice off the diagonal of L_U) plus U-S edges."""
+    return (sys_.L_U.nnz - sys_.n_unseeded) // 2 + sys_.B.nnz
+
+
+def edge_weights(sys_):
+    """One weight per edge: minus the entries above the diagonal of L_U, and of B."""
+    coo = sys_.L_U.tocoo()
+    return -np.concatenate([coo.data[coo.row < coo.col], sys_.B.data])
+
+
 class TestBuildLattice:
+    """The lattice `assemble` builds over the roi: input checks, voxel
+    addressing, edges and weights. One seed leaves every other voxel of a
+    connected roi unseeded, so all of its edges are in L_U or B."""
+
     def test_path_graph(self):
-        g = make_intensity(np.zeros((1, 1, 3)))
-        graph = build_lattice(g, full_mask((1, 1, 3)), 1.0)
-        assert graph.n_nodes == 3
-        assert graph.n_edges == 2
+        sys_ = one_seed_system(make_intensity(np.zeros((1, 1, 3))), full_mask((1, 1, 3)), 1.0)
+        assert sys_.n_unseeded + sys_.seed_voxels.size == 3
+        assert n_edges(sys_) == 2
 
     def test_full_box_counts(self):
-        g = make_intensity(np.zeros((3, 3, 3)))
-        graph = build_lattice(g, full_mask((3, 3, 3)), 1.0)
-        assert graph.n_nodes == 27
-        assert graph.n_edges == 54  # 3 * (2*3*3) axis-aligned pairs
+        sys_ = one_seed_system(make_intensity(np.zeros((3, 3, 3))), full_mask((3, 3, 3)), 1.0)
+        assert sys_.n_unseeded + sys_.seed_voxels.size == 27
+        assert n_edges(sys_) == 54  # 3 * (2*3*3) axis-aligned pairs
 
     def test_box_edge_count_formula(self, rng):
         for _ in range(5):
             a, b, c = (int(v) for v in rng.integers(1, 7, size=3))
             g = make_intensity(np.zeros((a, b, c)))
-            graph = build_lattice(g, full_mask((a, b, c)), 0.0)
+            sys_ = one_seed_system(g, full_mask((a, b, c)), 0.0)
             expect = (a - 1) * b * c + a * (b - 1) * c + a * b * (c - 1)
-            assert graph.n_edges == expect
+            assert n_edges(sys_) == expect
 
     def test_disconnected_voxels(self):
         roi = np.zeros((3, 3, 3), bool)
         roi[0, 0, 0] = roi[2, 2, 2] = True
-        graph = build_lattice(make_intensity(np.zeros((3, 3, 3))), make_mask(roi), 1.0)
-        assert graph.n_nodes == 2
-        assert graph.n_edges == 0
+        sys_ = one_seed_system(make_intensity(np.zeros((3, 3, 3))), make_mask(roi), 1.0)
+        assert sys_.n_unseeded == 0 and n_edges(sys_) == 0
+        assert sys_.pocket_voxels.tolist() == [26]
 
     def test_node_order_x_fastest(self):
-        roi = np.ones((2, 2, 1), bool)
-        graph = build_lattice(make_intensity(np.zeros((2, 2, 1))), make_mask(roi), 0.0)
-        # ids scan x first: (0,0,0)=0, (1,0,0)=1, (0,1,0)=2, (1,1,0)=3
-        assert graph.node_ids[0, 0, 0] == 0
-        assert graph.node_ids[1, 0, 0] == 1
-        assert graph.node_ids[0, 1, 0] == 2
-        assert graph.node_ids[1, 1, 0] == 3
-        assert (graph.edges_i < graph.edges_j).all()
-
-    def test_weights_match_brute_force(self, rng):
-        dims = (4, 3, 5)
-        intensity = rng.random(dims)
-        roi = rng.random(dims) < 0.7
-        roi[0, 0, 0] = True
-        beta = 37.0
-        graph = build_lattice(make_intensity(intensity), make_mask(roi), beta)
-        n_ref, node_of, edges_ref = brute_force_edges(roi, intensity, beta)
-        assert graph.n_nodes == n_ref
-        got = {
-            (int(i), int(j)): float(w)
-            for i, j, w in zip(graph.edges_i, graph.edges_j, graph.weights)
-        }
-        assert len(got) == len(edges_ref)
-        for i, j, w in edges_ref:
-            key = (min(i, j), max(i, j))
-            assert got[key] == pytest.approx(w, rel=1e-12)
+        # flat indices scan x first: (0,0,0)=0, (1,0,0)=1, (0,1,0)=2, (1,1,0)=3
+        sys_ = one_seed_system(make_intensity(np.zeros((2, 2, 1))), full_mask((2, 2, 1)), 0.0)
+        assert sys_.unseeded.tolist() == [1, 2, 3]
+        # 1 and 2 are diagonal, so not neighbours; both neighbour 0 and 3
+        assert sys_.L_U.toarray().tolist() == [[2, 0, -1], [0, 2, -1], [-1, -1, 2]]
+        assert sys_.B.toarray().tolist() == [[-1], [-1], [0]]
 
     def test_empty_roi(self):
         with pytest.raises(EmptyRoi):
-            build_lattice(
+            assemble(
                 make_intensity(np.zeros((2, 2, 2))),
                 make_mask(np.zeros((2, 2, 2), bool)),
+                {0: 1},
                 1.0,
             )
 
     def test_dim_mismatch(self):
         with pytest.raises(DimMismatch):
-            build_lattice(make_intensity(np.zeros((2, 2, 2))), full_mask((3, 3, 3)), 1.0)
+            assemble(make_intensity(np.zeros((2, 2, 2))), full_mask((3, 3, 3)), {0: 1}, 1.0)
 
     def test_nonfinite_guidance(self):
         data = np.zeros((2, 2, 2))
         data[0, 0, 0] = np.nan
         with pytest.raises(NonFiniteInput):
-            build_lattice(make_intensity(data), full_mask((2, 2, 2)), 1.0)
+            assemble(make_intensity(data), full_mask((2, 2, 2)), {1: 1}, 1.0)
 
     def test_nonfinite_outside_roi_allowed(self):
         data = np.zeros((2, 2, 2))
         data[0, 0, 0] = np.nan
         roi = np.ones((2, 2, 2), bool)
         roi[0, 0, 0] = False
-        graph = build_lattice(make_intensity(data), make_mask(roi), 1.0)
-        assert graph.n_nodes == 7
+        sys_ = one_seed_system(make_intensity(data), make_mask(roi), 1.0)
+        assert sys_.n_unseeded + sys_.seed_voxels.size == 7
+        assert np.isfinite(sys_.L_U.data).all() and np.isfinite(sys_.B.data).all()
 
     def test_all_weights_in_unit_interval(self, rng):
         g = make_intensity(rng.random((4, 4, 4)))
-        graph = build_lattice(g, full_mask((4, 4, 4)), 1e4)
-        assert (graph.weights >= W_FLOOR).all()
-        assert (graph.weights <= 1.0).all()
+        w = edge_weights(one_seed_system(g, full_mask((4, 4, 4)), 1e4))
+        assert w.size == 144
+        assert (w >= W_FLOOR).all()
+        assert (w <= 1.0).all()
 
     def test_beta_intensity_scaling_leaves_weights_unchanged(self, rng):
         data = rng.random((4, 4, 4))
         roi = full_mask((4, 4, 4))
         s = 2.5
-        g1 = build_lattice(make_intensity(data), roi, 80.0)
-        g2 = build_lattice(make_intensity(data * s), roi, 80.0 / s**2)
-        assert np.allclose(g1.weights, g2.weights, rtol=1e-12)
+        s1 = one_seed_system(make_intensity(data), roi, 80.0)
+        s2 = one_seed_system(make_intensity(data * s), roi, 80.0 / s**2)
+        assert np.allclose(edge_weights(s1), edge_weights(s2), rtol=1e-12)
 
 
 class TestConnectedComponents:
+    """`block_ids`, the components pass that numbers the blocks of L_U."""
+
     def test_path_single_component(self):
-        graph = build_lattice(
-            make_intensity(np.zeros((1, 1, 4))), full_mask((1, 1, 4)), 0.0
-        )
-        assert connected_components(graph).tolist() == [0, 0, 0, 0]
+        assert block_ids(4, np.array([0, 1, 2]), np.array([1, 2, 3])).tolist() == [0, 0, 0, 0]
 
     def test_two_isolated(self):
-        roi = np.zeros((3, 1, 1), bool)
-        roi[0] = roi[2] = True
-        graph = build_lattice(make_intensity(np.zeros((3, 1, 1))), make_mask(roi), 0.0)
-        assert connected_components(graph).tolist() == [0, 1]
+        none = np.empty(0, dtype=np.int64)
+        assert block_ids(2, none, none).tolist() == [0, 1]
 
     def test_pair_plus_singleton_sizes(self):
-        # 2-voxel bar at the origin plus a far corner voxel in a 5^3 grid
-        roi = np.zeros((5, 5, 5), bool)
-        roi[0, 0, 0] = roi[1, 0, 0] = True
-        roi[4, 4, 4] = True
-        graph = build_lattice(make_intensity(np.zeros((5, 5, 5))), make_mask(roi), 0.0)
-        comp = connected_components(graph)
-        sizes = np.bincount(comp)
-        assert sizes.tolist() == [2, 1]
+        comp = block_ids(3, np.array([0]), np.array([1]))
+        assert np.bincount(comp).tolist() == [2, 1]
 
     def test_ids_ordered_by_minimal_node(self):
-        # three stripes, scanned in x-fastest order
-        roi = np.zeros((5, 1, 3), bool)
-        roi[:, 0, 0] = True
-        roi[0:2, 0, 2] = True
-        graph = build_lattice(make_intensity(np.zeros((5, 1, 3))), make_mask(roi), 0.0)
-        comp = connected_components(graph)
-        assert comp[0] == 0  # component of node 0 is 0
-        assert comp.max() == 1
+        # a 5-path and a 2-path, edges listed from the larger node
+        comp = block_ids(7, np.array([1, 2, 3, 4, 6]), np.array([0, 1, 2, 3, 5]))
         assert comp.tolist() == [0] * 5 + [1] * 2
+        # node 0 alone, then nodes 1 and 3 joined, then node 2
+        assert block_ids(4, np.array([3]), np.array([1])).tolist() == [0, 1, 2, 1]

@@ -12,6 +12,7 @@ from voxprop import (
     LabelSet,
     MultiLabelAnnotation,
     NoSeedsInRoi,
+    NonFiniteInput,
     OverlappingHemispheres,
     SeedlessComponent,
     Volume3D,
@@ -224,6 +225,15 @@ class TestPropagate:
                 roi=full_mask((1, 1, 4)),
                 annotation=ann,
             )
+
+    @pytest.mark.parametrize("beta", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_beta_rejected_by_the_request(self, beta):
+        with pytest.raises(NonFiniteInput):
+            chain_request(beta=beta)
+
+    def test_negative_beta_rejected_by_the_request(self):
+        with pytest.raises(ValueError, match="beta must be >= 0"):
+            chain_request(beta=-1.0)
 
 
 def island_request(policy):
@@ -550,7 +560,7 @@ def pocket_requests(draw):
 @given(req=pocket_requests())
 def test_propagate_properties_with_pockets(req):
     res = propagate(req)
-    labels, roi = req.label_set, req.roi.data
+    labels, roi = req.annotation.labels, req.roi.data
     counts = req.annotation.label_counts()
     seeds = (counts == 1) & roi
     seed_label = np.asarray(labels.ids)[np.argmax(req.annotation.masks, axis=0)]
