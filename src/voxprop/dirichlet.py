@@ -39,7 +39,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .errors import ConvergenceFailure, NoSeeds, TooLarge
+from .errors import ConvergenceFailure, NonFiniteInput, NoSeeds, TooLarge
 from .lattice import _weights, block_ids, lattice_inputs, neighbor_voxels
 from .volume import LabelSet, Volume3D
 
@@ -66,7 +66,8 @@ class SolverConfig:
     """Tolerances for the Jacobi-preconditioned conjugate-gradient solver.
 
     rel_tol applies to the preconditioned residual norm relative to the
-    preconditioned right-hand side. max_iters defaults to
+    preconditioned right-hand side; it must be finite
+    (:class:`NonFiniteInput` otherwise) and positive. max_iters defaults to
     ``min(10 * n_unseeded, 100_000)`` when left unset.
     """
 
@@ -74,7 +75,9 @@ class SolverConfig:
     max_iters: int | None = None
 
     def __post_init__(self):
-        if not self.rel_tol > 0:
+        if not np.isfinite(self.rel_tol):
+            raise NonFiniteInput(f"rel_tol is {self.rel_tol}")
+        if self.rel_tol <= 0:
             raise ValueError(f"rel_tol must be > 0, got {self.rel_tol}")
         if self.max_iters is not None and self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")

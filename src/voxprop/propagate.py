@@ -20,7 +20,6 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.ndimage import distance_transform_edt
 
 from .dirichlet import SolverConfig, assemble, solve_all
 from .errors import (
@@ -95,20 +94,42 @@ class PropagationResult:
     report: dict
 
 
-def _nearest_seed_cols(fill_voxels, seeds: np.ndarray, labels: LabelSet, spacing):
+def _nearest_seed_cols(fill_voxels, seed_voxels, seed_cols, dims, spacing):
     """Label column of the spacing-weighted nearest seed for each fill voxel.
 
-    `fill_voxels` are x-fastest flat indices; the nonzero voxels of the
-    label volume `seeds` are the seeds to draw from. Ties go to the smaller
-    label id.
+    Voxels are x-fastest flat indices on a grid of shape `dims`; seed
+    ``seed_voxels[i]`` carries label column ``seed_cols[i]``. Distances are
+    Euclidean in physical units (index offsets times `spacing`). Ties go to
+    the smaller label id, and a tie is any seed whose distance, computed
+    from its index offset, is within ``r * (1 + 4 * eps)`` of the smallest
+    such distance r (eps the float64 machine epsilon): seeds equidistant in
+    exact arithmetic tie even when their offsets round differently, as
+    ``3 * 0.1`` and ``0.3`` do.
+
+    One KD-tree query over the seeds' physical coordinates gives each fill
+    voxel's two nearest distances. Those coordinates carry rounding of a
+    few ulps of the grid extent, so a row whose two distances lie within
+    that slack of each other is settled on index offsets instead, over all
+    seeds in the slack of its nearest. No fill voxel is a seed, so r > 0.
     """
-    where = np.unravel_index(fill_voxels, seeds.shape, order="F")
-    dists = np.full((len(labels), fill_voxels.size), np.inf)
-    for k, lab in enumerate(labels.ids):
-        seeded_here = seeds == lab
-        if seeded_here.any():
-            dists[k] = distance_transform_edt(~seeded_here, sampling=spacing)[where]
-    return np.argmin(dists, axis=0)  # first minimum = smallest label id
+    # loaded on first fill only: runs without pockets or a gap never need it
+    from scipy.spatial import cKDTree
+
+    eps = np.finfo(float).eps
+    fill_ijk, seed_ijk = (
+        np.column_stack(np.unravel_index(v, dims, order="F")) for v in (fill_voxels, seed_voxels)
+    )
+    fill_at = fill_ijk * spacing
+    tree = cKDTree(seed_ijk * spacing)
+    # with one seed the second neighbour is padding: distance inf, index n
+    dist, nearest = tree.query(fill_at, k=2)
+    cols = seed_cols[nearest[:, 0]]
+    reach = dist[:, 0] + 16 * eps * (np.dot(dims, spacing) + dist[:, 0])
+    tied = np.flatnonzero(dist[:, 1] <= reach)
+    for i, near in zip(tied, tree.query_ball_point(fill_at[tied], reach[tied])):
+        r = np.sqrt((((seed_ijk[near] - fill_ijk[i]) * spacing) ** 2).sum(axis=1))
+        cols[i] = seed_cols[near][r <= r.min() * (1 + 4 * eps)].min()
+    return cols
 
 
 def _solve_region(req: PropagationRequest, roi: Volume3D, seeds, conflicts, workers):
@@ -138,11 +159,11 @@ def _solve_region(req: PropagationRequest, roi: Volume3D, seeds, conflicts, work
     field_ = solve_all(system, req.solver, workers=workers)
     solved = (system.unseeded, field_.values)
 
-    fills = [(seed_flat, np.searchsorted(labels.ids, seed_labels))]
+    seed_cols = np.searchsorted(labels.ids, seed_labels)
+    fills = [(seed_flat, seed_cols)]
     n_filled = 0
     if seedless and req.seedless_policy == "nearest_seed":
-        own_seeds = np.where(seeds_in, seeds, BACKGROUND_ID)
-        cols = _nearest_seed_cols(pocket_voxels, own_seeds, labels, roi.spacing)
+        cols = _nearest_seed_cols(pocket_voxels, seed_flat, seed_cols, roi.dims, roi.spacing)
         fills.append((pocket_voxels, cols))
         n_filled = pocket_voxels.size
 
@@ -280,8 +301,13 @@ def propagate_bilateral(
     n_gap_filled = 0
     if n_gap and req.seedless_policy == "nearest_seed":
         gap_voxels = np.flatnonzero(gap.ravel(order="F"))
-        union_seeds = np.where(union, seeds, BACKGROUND_ID)
-        gap_cols = _nearest_seed_cols(gap_voxels, union_seeds, labels, req.roi.spacing)
+        # each half's first fill holds its seeds: together, the seeds in `union`
+        seed_voxels, seed_cols = (
+            np.concatenate(parts) for parts in zip(*(f[0] for _, f, _ in halves))
+        )
+        gap_cols = _nearest_seed_cols(
+            gap_voxels, seed_voxels, seed_cols, req.roi.dims, req.roi.spacing
+        )
         fills.append((gap_voxels, gap_cols))
         n_gap_filled = n_gap
 

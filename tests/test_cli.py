@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import struct
@@ -134,6 +135,28 @@ class TestPropagateCommand:
         )
         assert code == 2
         assert "beta is nan" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_infinite_tol_exits_2_before_any_solve(
+        self, tmp_path, phantom_files, capsys, monkeypatch
+    ):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve_all ran")
+
+        monkeypatch.setattr(importlib.import_module("voxprop.propagate"), "solve_all", no_solve)
+        code = run(
+            [
+                "propagate",
+                "--guidance", phantom_files["guidance"],
+                "--roi", phantom_files["roi"],
+                "--labels", phantom_files["labels"],
+                "--annotation", *phantom_files["annotation"],
+                "--out", tmp_path / "out",
+                "--tol", "inf",
+            ]
+        )
+        assert code == 2
+        assert "rel_tol is inf" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_policy_error_on_seedless_island_exits_3(self, tmp_path, capsys):

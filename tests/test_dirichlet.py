@@ -4,6 +4,7 @@ import pytest
 from voxprop import (
     ConvergenceFailure,
     LabelSet,
+    NonFiniteInput,
     NoSeeds,
     SolverConfig,
     TooLarge,
@@ -184,6 +185,18 @@ class TestSolveLabel:
             solve_all(sys_, SolverConfig(max_iters=2))
         assert exc.value.iterations == 2
         assert exc.value.residual is not None and exc.value.residual > 0
+
+
+class TestSolverConfig:
+    @pytest.mark.parametrize("rel_tol", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_rel_tol_rejected(self, rel_tol):
+        with pytest.raises(NonFiniteInput, match="rel_tol is"):
+            SolverConfig(rel_tol=rel_tol)
+
+    @pytest.mark.parametrize("rel_tol", [0.0, -1e-8])
+    def test_non_positive_rel_tol_rejected(self, rel_tol):
+        with pytest.raises(ValueError, match="rel_tol must be > 0"):
+            SolverConfig(rel_tol=rel_tol)
 
 
 class TestSolveAll:

@@ -1,4 +1,8 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +25,7 @@ from voxprop import (
     propagate_bilateral,
 )
 from voxprop import dirichlet
-from voxprop.propagate import PropagationRequest
+from voxprop.propagate import PropagationRequest, _nearest_seed_cols
 
 from conftest import annotation_from_sets, full_mask, make_intensity, make_mask
 from helpers import brute_force_edges, dense_dirichlet
@@ -322,6 +326,112 @@ class TestSeedlessPolicies:
         region = make_mask(labeled)
         again = argmax_labels(res.soft, LABELS, region)
         assert np.array_equal(res.hard.data, again.data)
+
+
+def brute_force_nearest_cols(fill_voxels, seed_voxels, seed_cols, dims, spacing):
+    """All-pairs nearest seed on exact integer squared distances (integer
+    spacing), ties to the smallest column. Also returns how many fill voxels
+    have nearest seeds of more than one column."""
+    def ijk(v):
+        return np.column_stack(np.unravel_index(v, dims, order="F"))
+
+    offsets = (ijk(fill_voxels)[:, None, :] - ijk(seed_voxels)[None, :, :]) * spacing
+    d2 = (offsets**2).sum(axis=-1)
+    at_min = d2 == d2.min(axis=1, keepdims=True)
+    lo = np.where(at_min, seed_cols, seed_cols.max()).min(axis=1)
+    hi = np.where(at_min, seed_cols, seed_cols.min()).max(axis=1)
+    return lo, int((lo != hi).sum())
+
+
+class TestNearestSeedFill:
+    def test_matches_brute_force_on_integer_spacings(self, rng):
+        n_ties = 0
+        for _ in range(200):
+            dims = tuple(int(d) for d in rng.integers(1, 9, size=3))
+            spacing = tuple(int(s) for s in rng.choice([1, 2, 3], size=3))
+            n = int(np.prod(dims))
+            if n < 2:
+                continue
+            order = rng.permutation(n)
+            n_seeds = int(rng.integers(1, n // 2 + 1))
+            seed_voxels = np.sort(order[:n_seeds])
+            seed_cols = rng.integers(0, int(rng.integers(1, 6)), size=n_seeds)
+            fill_voxels = order[n_seeds:n_seeds + int(rng.integers(1, n - n_seeds + 1))]
+            want, n_contested = brute_force_nearest_cols(
+                fill_voxels, seed_voxels, seed_cols, dims, spacing
+            )
+            got = _nearest_seed_cols(fill_voxels, seed_voxels, seed_cols, dims, spacing)
+            assert np.array_equal(got, want), (dims, spacing)
+            n_ties += n_contested
+        assert n_ties > 0  # the draws include ties between different labels
+
+    @pytest.mark.parametrize("label5_offset", [(3, 0, 0), (0, 1, 0)])
+    def test_tie_across_different_offsets_takes_smaller_label(self, label5_offset):
+        # 3 x-steps of 0.1 and 1 y-step of 0.3 are the same distance, but
+        # 3 * 0.1 and 0.3 differ in their last bit; whichever offset label 5
+        # sits at, label 2 at the other one wins
+        dims, spacing = (5, 3, 2), (0.1, 0.3, 1.0)
+        label2_offset = (3, 0, 0) if label5_offset == (0, 1, 0) else (0, 1, 0)
+        fill = np.array([0, 1, 1])
+        seeds = np.array([fill + label5_offset, fill + label2_offset])
+        flat = np.ravel_multi_index(tuple(seeds.T), dims, order="F")
+        fill_flat = np.ravel_multi_index(tuple(fill), dims, order="F")
+        cols = np.array([1, 0])  # label columns of (2, 5): label 5 is column 1
+        got = _nearest_seed_cols(np.array([fill_flat]), flat, cols, dims, spacing)
+        assert got.tolist() == [0]
+
+    def test_tie_far_from_the_origin_takes_smaller_label(self):
+        # fill at x = 5 on a 0.1 spacing, seeds at x = 4 and 6: as coordinate
+        # differences the distances are 0.09999999999999998 and
+        # 0.10000000000000009, 8 ulps apart, yet they tie
+        dims, spacing = (8, 1, 1), (0.1, 1.0, 1.0)
+        got = _nearest_seed_cols(np.array([5]), np.array([4, 6]), np.array([1, 0]),
+                                 dims, spacing)
+        assert got.tolist() == [0]
+
+    def test_single_seed_fills_the_pocket(self):
+        # the roi's only seed is voxel 0; voxel 3 is a pocket, so the tree
+        # holds one seed and its second neighbour is padding
+        dims = (4, 1, 1)
+        roi = np.array([True, True, False, True]).reshape(dims)
+        req = PropagationRequest(
+            guidance=make_intensity(np.zeros(dims)),
+            roi=make_mask(roi),
+            annotation=annotation_from_sets(LABELS, dims, {(0, 0, 0): {5}}),
+            seedless_policy="nearest_seed",
+        )
+        res = propagate(req)
+        assert res.hard.data.ravel().tolist() == [5, 5, BACKGROUND_ID, 5]
+        assert res.soft[1].data[3, 0, 0] == 1.0 and res.soft[0].data[3, 0, 0] == 0.0
+        assert res.report["n_policy_filled"] == 1
+
+
+def test_fill_modules_load_only_when_a_fill_runs(tmp_path):
+    """scipy.ndimage never loads, and scipy.spatial (the KD-tree) not before a
+    nearest-seed fill runs: a roi without pockets needs neither."""
+    code = """
+import importlib, sys
+import numpy as np
+vp = importlib.import_module("voxprop.propagate")
+from voxprop import LabelSet, MultiLabelAnnotation, Volume3D
+for name in ("scipy.ndimage", "scipy.spatial"):
+    assert name not in sys.modules, name
+masks = np.zeros((2, 4, 1, 1), bool)
+masks[0, 0] = masks[1, 3] = True
+req = vp.PropagationRequest(
+    guidance=Volume3D(np.zeros((4, 1, 1)), "intensity"),
+    roi=Volume3D(np.ones((4, 1, 1), bool), "mask"),
+    annotation=MultiLabelAnnotation(LabelSet(((2, "A"), (5, "B"))), masks),
+)
+assert vp.propagate(req).report["n_seedless_voxels"] == 0
+for name in ("scipy.ndimage", "scipy.spatial"):
+    assert name not in sys.modules, name
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, cwd=tmp_path, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
 
 
 class TestBilateral:
