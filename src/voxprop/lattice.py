@@ -2,7 +2,8 @@
 
 Voxels are addressed by their x-fastest flat index. The neighbours of voxel
 v are v +/- 1, v +/- nx and v +/- nx*ny, kept when they lie on the grid and
-in the roi; `neighbor_voxels` is the one place that does this arithmetic.
+in the roi; `neighbor_voxels` and `voxel_parity` are the only places that
+do this arithmetic.
 An edge joins two neighbouring roi voxels, with Gaussian intensity affinity
 
     w_ij = exp(-beta * (g_i - g_j)**2)
@@ -109,6 +110,16 @@ def neighbor_voxels(voxels: np.ndarray, inside: np.ndarray, dims) -> np.ndarray:
         keep = inside[nb]
         out[k, idx[keep]] = nb[keep]
     return out
+
+
+def voxel_parity(voxels: np.ndarray, dims) -> np.ndarray:
+    """Whether i + j + k is odd for each x-fastest flat index in `voxels`.
+
+    Every step in `DIRECTIONS` changes exactly one coordinate by one, so
+    each lattice edge joins an odd voxel to an even one.
+    """
+    nx, ny = dims[0], dims[1]
+    return (voxels % nx + voxels // nx % ny + voxels // (nx * ny)) % 2 == 1
 
 
 def block_ids(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:

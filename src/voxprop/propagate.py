@@ -4,9 +4,10 @@ Pipeline: multi-labeled voxels are cleared to unlabeled, the remaining
 single-labeled voxels become fixed seeds, the seeded Dirichlet system of
 the 6-connected intensity-weighted lattice over the roi is assembled from
 the unseeded voxels and their neighbours (`assemble`), and it is solved for
-every label (`solve_all`: one sparse LU when its blocks are small, PCG
-otherwise). Outputs are soft per-label probability volumes plus the argmax
-hard labeling, with a run report for auditing.
+every label (`solve_all`: one sparse LU when its blocks are small, PCG on
+the red-black reduced system otherwise). Outputs are soft per-label
+probability volumes plus the argmax hard labeling, with a run report for
+auditing.
 
 Connected roi pockets that end up with no seed at all are left out of the
 solve: a random walker there never reaches a seed. The `seedless_policy`

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,25 @@ class TestAssemble:
         # seeds sorted by voxel
         assert sys_.seed_voxels.tolist() == [0, 3]
         assert sys_.seed_labels.tolist() == [1, 2]
+
+    def test_parity_splits_every_coupling(self, rng):
+        # nx and ny both odd, then both even; rois with holes, several blocks
+        n_multi_block = 0
+        for dims in [(5, 3, 4), (7, 5, 3), (4, 6, 3), (6, 2, 5)] * 5:
+            roi = rng.random(dims) < 0.7
+            voxels = np.flatnonzero(roi.ravel(order="F"))
+            nodes = rng.choice(voxels, size=max(1, voxels.size // 8), replace=False)
+            seeds = {int(v): int(rng.integers(1, 4)) for v in nodes}
+            sys_ = assemble(make_intensity(rng.random(dims)), make_mask(roi), seeds, 2.0)
+            ijk = np.unravel_index(sys_.unseeded, dims, order="F")
+            assert sys_.odd.dtype == bool and not sys_.odd.flags.writeable
+            assert np.array_equal(sys_.odd, sum(ijk) % 2 == 1)
+            coo = sys_.L_U.tocoo()
+            off = coo.row != coo.col
+            assert off.any()
+            assert (sys_.odd[coo.row[off]] != sys_.odd[coo.col[off]]).all()
+            n_multi_block += sys_.n_blocks - len(sys_.seedless_components) > 1
+        assert n_multi_block > 0
 
 
 def _partition_cases(rng):
@@ -344,6 +365,8 @@ class TestSolveAll:
         serial = solve_all(sys_, workers=1)
         threaded = solve_all(sys_, workers=4)
         assert np.array_equal(serial.values, threaded.values)
+        assert serial.stats == threaded.stats
+        assert np.abs(serial.values - dense_reference_solve(sys_).values).max() <= 1e-6
 
 
     def test_direct_route_matches_dense(self, rng):
@@ -379,6 +402,93 @@ class TestSolveAll:
         field = solve_all(sys_)
         assert field.route == "pcg" and field.direct_error is None
         assert np.abs(field.values.sum(axis=1) - 1.0).max() <= 1e-12
+
+
+class TestReducedRoute:
+    """CG on the reduced system S against the dense oracle."""
+
+    @staticmethod
+    def check_against_dense(sys_, **kw):
+        field = solve_all(sys_, **kw)
+        assert field.route == "pcg"
+        assert np.abs(field.values - dense_reference_solve(sys_).values).max() <= 1e-6
+        return field
+
+    def test_single_unseeded_voxel(self, pcg_route):
+        sys_ = assemble(*uniform_chain(3), {0: 1, 2: 2}, 0.0)
+        field = self.check_against_dense(sys_)
+        assert field.stats[0].iterations == 0
+
+    def test_unseeded_voxels_touching_only_seeds(self, rng, pcg_route):
+        # the even voxels of a 5x4x3 box are seeds, so no odd voxel has an
+        # unseeded neighbour: the odd colour is all of L_U, the other empty
+        dims = (5, 4, 3)
+        ijk = np.indices(dims).reshape(3, -1, order="F")
+        even = np.flatnonzero(ijk.sum(axis=0) % 2 == 0)
+        seeds = {int(v): int(rng.integers(1, 4)) for v in even}
+        g = make_intensity(rng.random(dims))
+        sys_ = assemble(g, full_mask(dims), seeds, 3.0, LabelSet.from_ids([1, 2, 3]))
+        assert sys_.odd.all() and sys_.L_U.nnz == sys_.n_unseeded
+        field = self.check_against_dense(sys_)
+        assert all(s.iterations == 0 for s in field.stats)
+
+    @pytest.mark.parametrize("dims", [(7, 3, 5), (9, 5, 1), (3, 11, 7)])
+    def test_anisotropic_odd_dims(self, rng, pcg_route, dims):
+        g = make_intensity(blobby_field(dims, 4, rng)[0], spacing=(0.5, 1.0, 2.5))
+        roi = rng.random(dims) < 0.9
+        voxels = np.flatnonzero(roi.ravel(order="F"))
+        nodes = rng.choice(voxels, size=8, replace=False)
+        seeds = {int(n): int(1 + k % 4) for k, n in enumerate(nodes)}
+        labels = LabelSet.from_ids([1, 2, 3, 4])
+        sys_ = assemble(g, make_mask(roi, spacing=(0.5, 1.0, 2.5)), seeds, 20.0, labels)
+        field = self.check_against_dense(sys_)
+        assert all(s.iterations > 0 for s in field.stats[:-1])
+
+    def test_declared_label_without_seeds(self, rng, pcg_route):
+        # label 2 is solved (not the closure label) and has no seed
+        dims = (6, 5, 3)
+        nodes = rng.choice(int(np.prod(dims)), size=6, replace=False)
+        seeds = {int(n): [1, 3][k % 2] for k, n in enumerate(nodes)}
+        g = make_intensity(rng.random(dims))
+        sys_ = assemble(g, full_mask(dims), seeds, 1.0, LabelSet.from_ids([1, 2, 3]))
+        field = self.check_against_dense(sys_)
+        assert np.array_equal(field.column(2), np.zeros(sys_.n_unseeded))
+        assert field.stats[1].iterations == 0
+
+    @pytest.mark.parametrize("rel_tol", [1e-8, 1e-4])
+    def test_residual_is_the_full_systems(self, rng, pcg_route, rel_tol):
+        # rel_tol bounds ||D^-1 (b - L_U x)|| / ||D^-1 b|| of the full system,
+        # and the reported residual is that quantity
+        dims = (9, 8, 7)
+        intensity, _ = blobby_field(dims, 5, rng)
+        nodes = rng.choice(intensity.size, size=25, replace=False)
+        seeds = {int(n): int(1 + k % 4) for k, n in enumerate(nodes)}
+        labels = LabelSet.from_ids([1, 2, 3, 4])
+        sys_ = assemble(make_intensity(intensity), full_mask(dims), seeds, 5.0, labels)
+        field = solve_all(sys_, SolverConfig(rel_tol=rel_tol))
+        d = sys_.L_U.diagonal()
+        for k, stats in enumerate(field.stats[:-1]):
+            b = -(sys_.B @ (sys_.seed_labels == stats.label_id).astype(float))
+            x = field.values[:, k]
+            residual = np.linalg.norm((b - sys_.L_U @ x) / d) / np.linalg.norm(b / d)
+            assert stats.iterations > 0
+            assert residual <= rel_tol
+            assert residual == pytest.approx(stats.residual, rel=1e-6)
+
+    def test_leaves_no_garbage(self, rng, pcg_route):
+        # a solve that leaves its work in a reference cycle keeps it alive
+        # until the next collection, which raised peak RSS in the writer
+        intensity = rng.random((6, 6, 5))
+        nodes = rng.choice(intensity.size, size=10, replace=False)
+        seeds = {int(n): int(1 + k % 3) for k, n in enumerate(nodes)}
+        sys_ = assemble(make_intensity(intensity), full_mask((6, 6, 5)), seeds, 2.0)
+        gc.collect()
+        gc.disable()
+        try:
+            solve_all(sys_)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestDenseReferenceSolve:
