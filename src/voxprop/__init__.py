@@ -31,7 +31,6 @@ _EXPORTS = {
         "ProbabilityField",
         "SolverConfig",
         "assemble",
-        "dense_reference_solve",
         "solve_all",
     ),
     "errors": (
@@ -50,7 +49,6 @@ _EXPORTS = {
         "SeedlessComponent",
         "TargetTooLarge",
         "TooFewMaps",
-        "TooLarge",
         "TruncatedFile",
         "UnsupportedDatatype",
         "VoxpropError",

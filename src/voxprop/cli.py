@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -49,8 +48,7 @@ def cmd_propagate(args) -> int:
         solver=SolverConfig(rel_tol=args.tol),
         seedless_policy=args.policy,
     )
-    workers = args.threads if args.threads > 0 else (os.cpu_count() or 1)
-    result = propagate(req, workers=workers)
+    result = propagate(req)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -75,6 +73,9 @@ def cmd_fuse(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    out = Path(args.out)
+    if out.suffix == ".txt":  # the text twin would overwrite the JSON report
+        return _fail(f"--out {out} ends in .txt, the text report's suffix", EXIT_INPUT)
     labels = read_labelset(args.labels)
     pred = nifti.read_volume(args.pred, "label")
     target = nifti.read_volume(args.target, "label")
@@ -85,7 +86,6 @@ def cmd_evaluate(args) -> int:
     else:
         eval_mask = roi
     report = dice_report(pred, target, labels, eval_mask, roi=roi)
-    out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(report.to_json() + "\n")
     out.with_suffix(".txt").write_text(report.to_text() + "\n")
@@ -153,7 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pp.add_argument("--tol", type=float, default=1e-8)
     pp.add_argument("--soft", action="store_true", help="also write per-label prob_*.nii")
-    pp.add_argument("--threads", type=int, default=0, help="0 = all cores")
     pp.set_defaults(func=cmd_propagate)
 
     pf = sub.add_parser("fuse", help="majority-vote fusion of label maps")

@@ -24,8 +24,7 @@ more than `DIRECT_BLOCK_LIMIT` nodes, one sparse LU factorization solves
 every label directly, with no closure and no stopping rule. Otherwise each
 label but the last is solved with Jacobi-preconditioned conjugate
 gradients, and the last label is recovered by simplex closure (1 minus the
-others), which keeps per-node sums at exactly 1. A dense LAPACK-based
-reference solver is provided for testing.
+others), which keeps per-node sums at exactly 1.
 
 The conjugate gradients run on half the unknowns. The 6-connected lattice
 is bipartite: every edge joins a voxel with i + j + k odd to one with
@@ -51,7 +50,6 @@ reported iterations count steps of CG on S.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple
 
@@ -59,7 +57,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .errors import ConvergenceFailure, NonFiniteInput, NoSeeds, TooLarge
+from .errors import ConvergenceFailure, NonFiniteInput, NoSeeds
 from .lattice import _weights, block_ids, lattice_inputs, neighbor_voxels, voxel_parity
 from .volume import LabelSet, Volume3D
 
@@ -171,10 +169,9 @@ class ProbabilityField:
 
     Rows follow `DirichletSystem.unseeded`; seeds and seedless pockets have
     no row. Rows sum to 1 and lie in [0, 1] up to solver tolerance
-    (clamped). `route` names the solver: "direct" or "pcg" from
-    `solve_all`, "dense" from `dense_reference_solve`. `direct_error` names
-    the sparse LU failure that sent a direct solve to PCG, and is None
-    otherwise.
+    (clamped). `route` names the solver that `solve_all` took: "direct" or
+    "pcg". `direct_error` names the sparse LU failure that sent a direct
+    solve to PCG, and is None otherwise.
     """
 
     values: np.ndarray  # float64 (n_unseeded, m)
@@ -453,11 +450,7 @@ def _solve_one(sys: DirichletSystem, red: _Reduction, label: int, cfg: SolverCon
     return LabelSolveStats(label, iters, float(res))
 
 
-def solve_all(
-    sys: DirichletSystem,
-    cfg: SolverConfig = SolverConfig(),
-    workers: int = 1,
-) -> ProbabilityField:
+def solve_all(sys: DirichletSystem, cfg: SolverConfig = SolverConfig()) -> ProbabilityField:
     """Probabilities of every label over the unseeded nodes.
 
     Returns values of shape (n_unseeded, m), rows ordered like
@@ -465,13 +458,12 @@ def solve_all(
     one sparse LU factorization of L_U solves all m labels (route
     "direct"); if the factorization fails, the PCG route runs instead and
     `direct_error` says why. The PCG route eliminates the larger colour of
-    the lattice once, then solves m - 1 labels independently (optionally in
-    `workers` threads) by CG on the reduced system S, whose steps are the
-    labels' reported iterations, and closes the simplex by assigning the
-    remaining mass to the largest label id. Tiny negative
-    drift is clamped to [0, 1]; rows whose sum moved more than 1e-6 from 1
-    are renormalized (logged). Drift beyond 1e-4 raises: that indicates a
-    misconfigured solve, not roundoff.
+    the lattice once, then solves m - 1 labels one after another by CG on
+    the reduced system S, whose steps are the labels' reported iterations,
+    and closes the simplex by assigning the remaining mass to the largest
+    label id. Tiny negative drift is clamped to [0, 1]; rows whose sum moved
+    more than 1e-6 from 1 are renormalized (logged). Drift beyond 1e-4
+    raises: that indicates a misconfigured solve, not roundoff.
     """
     label_ids = sys.label_ids
     direct_error = None
@@ -491,15 +483,7 @@ def solve_all(
     head = label_ids[:-1] if sys.n_unseeded else ()
     red = _reduce(sys) if head else None
     values = np.empty((sys.n_unseeded, len(label_ids)))
-
-    def solve(k):
-        return _solve_one(sys, red, head[k], cfg, values[:, k])
-
-    if workers > 1 and len(head) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            stats = list(pool.map(solve, range(len(head))))
-    else:
-        stats = [solve(k) for k in range(len(head))]
+    stats = [_solve_one(sys, red, lab, cfg, values[:, k]) for k, lab in enumerate(head)]
     values[:, -1] = 1.0 - values[:, :-1].sum(axis=1)
     stats += [LabelSolveStats(lab, 0, 0.0, closure=True) for lab in label_ids[len(head):]]
     _finalize_probabilities(values)
@@ -536,26 +520,3 @@ def _finalize_probabilities(values: np.ndarray) -> None:
             PROB_EPS,
         )
         values[drifted] /= sums[drifted, None]
-
-
-def dense_reference_solve(sys: DirichletSystem) -> ProbabilityField:
-    """Ground-truth field via dense LAPACK factorization; test oracle only.
-
-    Solves every label directly (no closure) on the densified L_U; values
-    have shape (n_unseeded, m), rows ordered like `sys.unseeded`.
-
-    Raises
-    ------
-    TooLarge
-        If the system has more than 4096 unseeded nodes.
-    """
-    n_u = sys.n_unseeded
-    if n_u > 4096:
-        raise TooLarge(f"{n_u} unseeded nodes exceeds the dense limit of 4096")
-    label_ids = sys.label_ids
-    n_s = sys.seed_voxels.size
-    M = np.zeros((n_s, len(label_ids)))
-    M[np.arange(n_s), np.searchsorted(label_ids, sys.seed_labels)] = 1.0
-    values = np.linalg.solve(sys.L_U.toarray(), -(sys.B @ M))
-    stats = tuple(LabelSolveStats(lab, 0, 0.0) for lab in label_ids)
-    return ProbabilityField(values, label_ids, stats, "dense")

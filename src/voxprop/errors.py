@@ -97,10 +97,6 @@ class SeedlessComponent(VoxpropError):
         self.component_ids = tuple(int(c) for c in component_ids)
 
 
-class TooLarge(VoxpropError):
-    """The system exceeds the size limit of the dense reference solver."""
-
-
 # --- propagation -------------------------------------------------------------
 
 class NoSeedsInRoi(VoxpropError):

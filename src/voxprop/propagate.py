@@ -133,7 +133,7 @@ def _nearest_seed_cols(fill_voxels, seed_voxels, seed_cols, dims, spacing):
     return cols
 
 
-def _solve_region(req: PropagationRequest, roi: Volume3D, seeds, conflicts, workers):
+def _solve_region(req: PropagationRequest, roi: Volume3D, seeds, conflicts):
     """Seeded Dirichlet solve over `roi`, and the fill of its seeds and pockets.
 
     Only the voxels of the seed label volume `seeds` inside `roi` are
@@ -157,7 +157,7 @@ def _solve_region(req: PropagationRequest, roi: Volume3D, seeds, conflicts, work
             f"({pocket_voxels.size} voxels)",
             component_ids=seedless,
         )
-    field_ = solve_all(system, req.solver, workers=workers)
+    field_ = solve_all(system, req.solver)
     solved = (system.unseeded, field_.values)
 
     seed_cols = np.searchsorted(labels.ids, seed_labels)
@@ -232,6 +232,9 @@ def _volume(flat: np.ndarray, like: Volume3D, kind) -> Volume3D:
 def propagate(req: PropagationRequest, workers: int = 1) -> PropagationResult:
     """Run seeded random-walker propagation over the roi.
 
+    `workers` is ignored, and is accepted so that calls passing it keep
+    working: the labels are solved one after another.
+
     Raises
     ------
     NoSeedsInRoi
@@ -244,9 +247,7 @@ def propagate(req: PropagationRequest, workers: int = 1) -> PropagationResult:
     n_outside = int(((seeds_vol.data > 0) & ~req.roi.data).sum())
     if n_outside:
         log.warning("dropping %d seeds outside the roi", n_outside)
-    solved, fills, report = _solve_region(
-        req, req.roi, seeds_vol.data, conflict_vol.data, workers
-    )
+    solved, fills, report = _solve_region(req, req.roi, seeds_vol.data, conflict_vol.data)
     labels = req.annotation.labels
     soft, hard = _write_volumes(req.roi, labels, [solved], fills)
     report = {"n_seeds_outside_roi": n_outside, **report}
@@ -263,7 +264,7 @@ def propagate_bilateral(
     The two masks must be disjoint and lie inside the request roi. A
     hemisphere's seedless pockets are filled from its own seeds; roi voxels
     outside both hemispheres follow the request's seedless policy, using
-    the seeds of both.
+    the seeds of both. `workers` is ignored, as in `propagate`.
 
     Raises
     ------
@@ -288,9 +289,7 @@ def propagate_bilateral(
     n_outside = int(((seeds > 0) & ~union).sum())
     if n_outside:
         log.warning("dropping %d seeds outside the hemisphere masks", n_outside)
-    halves = [
-        _solve_region(req, h, seeds, conflict_vol.data, workers) for h in (left, right)
-    ]
+    halves = [_solve_region(req, h, seeds, conflict_vol.data) for h in (left, right)]
 
     gap = req.roi.data & ~union
     n_gap = int(gap.sum())

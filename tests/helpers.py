@@ -4,6 +4,9 @@ Nothing in this module may call into voxprop's lattice or solver code:
 adjacency is enumerated by brute force over voxel neighborhoods and the
 Dirichlet systems are assembled and solved densely from scratch, so these
 functions can serve as ground truth for the library's fast paths.
+`dense_reference_solve` is the one that takes an assembled system: it
+checks the library's solvers against a dense factorization of the same
+L_U and B.
 """
 
 from __future__ import annotations
@@ -145,6 +148,20 @@ def dense_dirichlet(n_nodes: int, edges, seeds: dict, label_ids) -> np.ndarray:
             M[r, label_ids.index(seeds[v])] = 1.0
         field[unseeded] = np.linalg.solve(L_U, -B @ M)
     return field
+
+
+def dense_reference_solve(sys) -> np.ndarray:
+    """Every label of a `DirichletSystem` by dense LAPACK factorization.
+
+    Solves L_U x = -B m for each label's one-hot seed indicator m, with no
+    closure; returns (n_unseeded, m) values, rows ordered like
+    `sys.unseeded` and columns like `sys.label_ids`.
+    """
+    label_ids = sys.label_ids
+    n_s = sys.seed_voxels.size
+    M = np.zeros((n_s, len(label_ids)))
+    M[np.arange(n_s), np.searchsorted(label_ids, sys.seed_labels)] = 1.0
+    return np.linalg.solve(sys.L_U.toarray(), -(sys.B @ M))
 
 
 def _walk_tables(n_nodes: int, edges):

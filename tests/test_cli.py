@@ -289,6 +289,23 @@ class TestEvaluateCommand:
         )
         assert code == 2
 
+    def test_txt_out_exits_2_before_writing(self, tmp_path, phantom_files, capsys):
+        # the .txt twin of report.txt is report.txt: the JSON report would be lost
+        out = tmp_path / "eval" / "report.txt"
+        code = run(
+            [
+                "evaluate",
+                "--pred", phantom_files["truth"],
+                "--target", phantom_files["truth"],
+                "--labels", phantom_files["labels"],
+                "--roi", phantom_files["roi"],
+                "--out", out,
+            ]
+        )
+        assert code == 2
+        assert ".txt" in capsys.readouterr().err
+        assert not out.parent.exists()
+
 
 class TestPhantomCommand:
     def test_deterministic_outputs(self, tmp_path):
