@@ -108,6 +108,10 @@ class Phantom:
 def _validate(spec: PhantomSpec) -> None:
     if len(spec.dims) != 3 or min(spec.dims) < 1:
         raise BadSpec(f"dims must be 3 positive ints, got {spec.dims}")
+    if len(spec.spacing) != 3 or not all(0 < s < np.inf for s in spec.spacing):
+        raise BadSpec(f"spacing must be 3 finite values > 0, got {spec.spacing}")
+    if spec.seed < 0:
+        raise BadSpec(f"seed must be >= 0, got {spec.seed}")
     if not spec.blobs:
         raise BadSpec("at least one blob is required")
     for b in spec.blobs:
@@ -117,6 +121,10 @@ def _validate(spec: PhantomSpec) -> None:
             raise BadSpec(f"blob center {b.center} outside dims {spec.dims}")
         if b.label_id <= BACKGROUND_ID:
             raise BadSpec(f"blob label id must be positive, got {b.label_id}")
+    try:
+        spec.label_set()
+    except ValueError as exc:  # a repeated name, or an id beyond uint16
+        raise BadSpec(f"bad labels: {exc}") from exc
     for name, frac in (
         ("unlabeled_fraction", spec.unlabeled_fraction),
         ("conflict_fraction", spec.conflict_fraction),
@@ -125,8 +133,8 @@ def _validate(spec: PhantomSpec) -> None:
             raise BadSpec(f"{name} must be in [0, 1], got {frac}")
     if spec.unlabeled_fraction + spec.conflict_fraction > 1.0 + 1e-12:
         raise BadSpec("unlabeled_fraction + conflict_fraction exceeds 1")
-    if spec.noise_sigma < 0:
-        raise BadSpec(f"noise_sigma must be >= 0, got {spec.noise_sigma}")
+    if not 0 <= spec.noise_sigma < np.inf:
+        raise BadSpec(f"noise_sigma must be finite and >= 0, got {spec.noise_sigma}")
     if spec.conflict_fraction > 0 and len({b.label_id for b in spec.blobs}) < 2:
         raise BadSpec("conflicts need at least two distinct labels")
     if spec.roi_semiaxes is not None and min(spec.roi_semiaxes) <= 0:
@@ -135,6 +143,12 @@ def _validate(spec: PhantomSpec) -> None:
 
 def make_phantom(spec: PhantomSpec) -> Phantom:
     """Generate guidance, roi, corrupted annotation, and truth volumes.
+
+    Each voxel takes the blob of its nearest center, the first-listed blob
+    on a tie. A conflict voxel gains a second label, drawn uniformly from
+    the nearest min(3, k - 1) other labels (k blobs, fewer when labels
+    repeat; a label is as near as its nearest blob). With keep_blob_centers
+    each center's voxel, its rounded index clamped into the grid, is kept.
 
     Raises
     ------
@@ -146,19 +160,8 @@ def make_phantom(spec: PhantomSpec) -> Phantom:
     rng = np.random.default_rng(spec.seed)
     nx, ny, nz = spec.dims
     labels = spec.label_set()
-
-    xs = np.arange(nx, dtype=np.float64)
-    ys = np.arange(ny, dtype=np.float64)
-    zs = np.arange(nz, dtype=np.float64)
-    X, Y, Z = np.meshgrid(xs, ys, zs, indexing="ij")
-
-    # squared voxel distance to every blob center
-    k = len(spec.blobs)
-    d2 = np.empty((k,) + spec.dims)
-    for i, b in enumerate(spec.blobs):
-        cx, cy, cz = b.center
-        d2[i] = (X - cx) ** 2 + (Y - cy) ** 2 + (Z - cz) ** 2
-    nearest = np.argmin(d2, axis=0)
+    # open grids: each sum below broadcasts to the same floats as a meshgrid
+    X, Y, Z = np.ogrid[0.0:nx, 0.0:ny, 0.0:nz]
 
     semi = spec.roi_semiaxes or tuple(0.45 * d for d in spec.dims)
     cx, cy, cz = ((nx - 1) / 2, (ny - 1) / 2, (nz - 1) / 2)
@@ -170,62 +173,58 @@ def make_phantom(spec: PhantomSpec) -> Phantom:
     if not roi_data.any():
         raise BadSpec("roi semiaxes select no voxels")
 
-    blob_intensity = np.array([b.intensity for b in spec.blobs])
-    guidance_data = blob_intensity[nearest]
+    # nearest blob by a running minimum; the strict < keeps the first of a tie
+    centers = [b.center for b in spec.blobs]
+    nearest = np.zeros(spec.dims, dtype=np.intp)
+    best = np.full(spec.dims, np.inf)
+    for i, (cx, cy, cz) in enumerate(centers):
+        d2 = (X - cx) ** 2 + (Y - cy) ** 2 + (Z - cz) ** 2
+        nearest[d2 < best] = i
+        np.minimum(best, d2, out=best)
+    del best, d2
+
+    guidance_data = np.array([b.intensity for b in spec.blobs])[nearest]
     if spec.noise_sigma > 0:
         guidance_data = guidance_data + rng.normal(0.0, spec.noise_sigma, spec.dims)
 
     blob_label = np.array([b.label_id for b in spec.blobs], dtype=np.uint16)
     truth_data = np.where(roi_data, blob_label[nearest], BACKGROUND_ID).astype(np.uint16)
+    del nearest
 
-    # corrupt: pick disjoint unlabeled/conflict subsets of the labeled voxels
+    # corrupt: pick disjoint unlabeled/conflict subsets of the labeled voxels,
+    # as indices into the F-order ravel
     flat_truth = truth_data.ravel(order="F")
-    labeled_idx = np.flatnonzero(flat_truth)
-    n_labeled = labeled_idx.size
-
-    protected = np.zeros(0, dtype=np.int64)
+    eligible = np.flatnonzero(flat_truth)
+    n_labeled = eligible.size
     if spec.keep_blob_centers:
-        centers = []
-        for b in spec.blobs:
-            ci = tuple(int(round(c)) for c in b.center)
-            if roi_data[ci]:
-                centers.append(ci[0] + nx * ci[1] + nx * ny * ci[2])
-        protected = np.asarray(sorted(set(centers)), dtype=np.int64)
+        kept = [[min(int(round(c)), d - 1) for c, d in zip(ctr, spec.dims)] for ctr in centers]
+        protected = [x + nx * y + nx * ny * z for x, y, z in kept if roi_data[x, y, z]]
+        eligible = eligible[~np.isin(eligible, protected)]
 
-    eligible = np.setdiff1d(labeled_idx, protected)
     n_unlab = min(int(round(spec.unlabeled_fraction * n_labeled)), eligible.size)
-    n_conf = min(
-        int(round(spec.conflict_fraction * n_labeled)), eligible.size - n_unlab
-    )
+    n_conf = min(int(round(spec.conflict_fraction * n_labeled)), eligible.size - n_unlab)
     picked = rng.choice(eligible, size=n_unlab + n_conf, replace=False)
-    unlab_idx = picked[:n_unlab]
-    conf_idx = picked[n_unlab:]
+    unlab_idx, conf_idx = picked[:n_unlab], picked[n_unlab:]
 
-    m = len(labels)
-    masks_flat = np.zeros((m, flat_truth.size), dtype=bool)
-    for j, lab in enumerate(labels.ids):
-        masks_flat[j] = flat_truth == lab
+    ids = np.array(labels.ids, dtype=np.uint16)
+    masks_flat = flat_truth == ids[:, None]  # (m, n_voxels), F order
     masks_flat[:, unlab_idx] = False
 
-    if conf_idx.size:
-        # second label: a random draw among the nearest few other blobs
-        d2_flat = np.stack([d2[i].ravel(order="F") for i in range(k)])
-        own = flat_truth[conf_idx]
-        order = np.argsort(d2_flat[:, conf_idx], axis=0)  # (k, n_conf)
-        col_of = {lab: j for j, lab in enumerate(labels.ids)}
-        n_cand = min(3, k - 1)
-        for t, vox in enumerate(conf_idx):
-            cands = []
-            for r in range(k):
-                lab = int(blob_label[order[r, t]])
-                if lab != own[t] and lab not in cands:
-                    cands.append(lab)
-                if len(cands) == n_cand:
-                    break
-            second = cands[int(rng.integers(len(cands)))]
-            masks_flat[col_of[second], vox] = True
+    if n_conf:
+        # rank the labels by their nearest blob, own label last; draw a rank
+        xyz = np.unravel_index(conf_idx, spec.dims, order="F")
+        x, y, z = (v.astype(np.float64) for v in xyz)
+        d2 = np.stack([(x - cx) ** 2 + (y - cy) ** 2 + (z - cz) ** 2 for cx, cy, cz in centers])
+        blob_rank = np.argsort(np.argsort(d2, axis=0), axis=0)
+        label_rank = np.full((len(ids), n_conf), len(centers))
+        np.minimum.at(label_rank, np.searchsorted(ids, blob_label), blob_rank)
+        label_rank[np.searchsorted(ids, flat_truth[conf_idx]), np.arange(n_conf)] = len(centers)
+        draw = rng.integers(min(3, len(ids) - 1), size=n_conf)
+        second = np.take_along_axis(np.argsort(label_rank, axis=0), draw[None], axis=0)[0]
+        masks_flat[second, conf_idx] = True
 
-    masks = np.stack([masks_flat[j].reshape(spec.dims, order="F") for j in range(m)])
+    # a view, not a copy: each label's volume is F-ordered
+    masks = masks_flat.reshape(len(ids), nz, ny, nx).transpose(0, 3, 2, 1)
 
     guidance = Volume3D(guidance_data, "intensity", spec.spacing)
     roi = Volume3D(roi_data, "mask", spec.spacing)

@@ -271,6 +271,10 @@ def propagate_bilateral(
     OverlappingHemispheres
     NoSeedsInRoi
         If either hemisphere contains no seed.
+    SeedlessComponent
+        Under ``seedless_policy="error"`` if roi voxels lie outside both
+        hemispheres (checked before any solve) or a hemisphere has a
+        seedless pocket.
     """
     left, right = hemisphere_masks
     for h in (left, right):
@@ -282,6 +286,10 @@ def propagate_bilateral(
     union = left.data | right.data
     if (union & ~req.roi.data).any():
         raise ValueError("hemisphere masks extend outside the roi")
+    gap = req.roi.data & ~union
+    n_gap = int(gap.sum())
+    if n_gap and req.seedless_policy == "error":
+        raise SeedlessComponent(f"{n_gap} roi voxels lie outside both hemisphere masks")
 
     labels = req.annotation.labels
     seeds_vol, conflict_vol = strip_conflicts(req.annotation)
@@ -291,12 +299,6 @@ def propagate_bilateral(
         log.warning("dropping %d seeds outside the hemisphere masks", n_outside)
     halves = [_solve_region(req, h, seeds, conflict_vol.data) for h in (left, right)]
 
-    gap = req.roi.data & ~union
-    n_gap = int(gap.sum())
-    if n_gap and req.seedless_policy == "error":
-        raise SeedlessComponent(
-            f"{n_gap} roi voxels lie outside both hemisphere masks"
-        )
     fills = [f for _, region_fills, _ in halves for f in region_fills]
     n_gap_filled = 0
     if n_gap and req.seedless_policy == "nearest_seed":

@@ -145,7 +145,7 @@ class LabelSet:
     """Ordered set of (label_id, name) pairs.
 
     Ids are unique, strictly positive, sorted ascending, and fit in uint16.
-    Id 0 is reserved for background and is never a member.
+    Names are unique. Id 0 is reserved for background and is never a member.
     """
 
     entries: tuple[tuple[int, str], ...]
@@ -159,6 +159,9 @@ class LabelSet:
         ids = [i for i, _ in entries]
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate label ids: {ids}")
+        names = [n for _, n in entries]
+        if len(set(names)) != len(names):
+            raise ValueError(f"duplicate label names: {names}")
         if ids != sorted(ids):
             raise ValueError(f"label ids must be sorted ascending: {ids}")
         if ids[0] <= BACKGROUND_ID:

@@ -6,7 +6,8 @@ Dirichlet systems are assembled and solved densely from scratch, so these
 functions can serve as ground truth for the library's fast paths.
 `dense_reference_solve` is the one that takes an assembled system: it
 checks the library's solvers against a dense factorization of the same
-L_U and B.
+L_U and B. `loop_phantom_arrays` rebuilds a phantom from a full distance
+stack and a per-voxel loop over the conflict voxels.
 """
 
 from __future__ import annotations
@@ -239,3 +240,54 @@ def blobby_field(dims, n_blobs: int, rng: np.random.Generator, sigma: float = 0.
     if sigma > 0:
         intensity = intensity + rng.normal(0.0, sigma, dims)
     return intensity, blob
+
+
+def loop_phantom_arrays(spec):
+    """(guidance, roi, truth, masks) of `spec`, one blob and one voxel at a time.
+
+    Follows `make_phantom`'s RNG calls in order: the noise, the choice of
+    corrupted voxels, then one scalar draw per conflict voxel.
+    """
+    rng = np.random.default_rng(spec.seed)
+    dims = spec.dims
+    nx, ny, nz = dims
+    X, Y, Z = np.meshgrid(*(np.arange(n, dtype=np.float64) for n in dims), indexing="ij")
+    d2 = np.stack([(X - cx) ** 2 + (Y - cy) ** 2 + (Z - cz) ** 2 for cx, cy, cz in
+                   (b.center for b in spec.blobs)])
+    nearest = np.argmin(d2, axis=0)
+    semi = spec.roi_semiaxes or tuple(0.45 * d for d in dims)
+    roi = (((X - (nx - 1) / 2) / semi[0]) ** 2 + ((Y - (ny - 1) / 2) / semi[1]) ** 2
+           + ((Z - (nz - 1) / 2) / semi[2]) ** 2) <= 1.0
+    guidance = np.array([b.intensity for b in spec.blobs])[nearest]
+    if spec.noise_sigma > 0:
+        guidance = guidance + rng.normal(0.0, spec.noise_sigma, dims)
+    blob_label = [b.label_id for b in spec.blobs]
+    truth = np.where(roi, np.array(blob_label)[nearest], 0).astype(np.uint16)
+
+    flat_truth = truth.ravel(order="F")
+    labeled = np.flatnonzero(flat_truth)
+    protected = set()
+    if spec.keep_blob_centers:
+        for b in spec.blobs:
+            x, y, z = (min(int(round(c)), d - 1) for c, d in zip(b.center, dims))
+            if roi[x, y, z]:
+                protected.add(x + nx * y + nx * ny * z)
+    eligible = np.array([v for v in labeled if v not in protected], dtype=np.int64)
+    n_unlab = min(int(round(spec.unlabeled_fraction * labeled.size)), eligible.size)
+    n_conf = min(int(round(spec.conflict_fraction * labeled.size)), eligible.size - n_unlab)
+    picked = rng.choice(eligible, size=n_unlab + n_conf, replace=False)
+
+    ids = sorted(set(blob_label))
+    masks = [flat_truth == i for i in ids]
+    for mask in masks:
+        mask[picked[:n_unlab]] = False
+    d2_flat = d2.reshape(len(spec.blobs), -1, order="F")
+    for v in picked[n_unlab:]:
+        cands = []
+        for blob in np.argsort(d2_flat[:, [v]], axis=0)[:, 0]:
+            lab = blob_label[blob]
+            if lab != flat_truth[v] and lab not in cands and len(cands) < 3:
+                cands.append(lab)
+        masks[ids.index(cands[int(rng.integers(len(cands)))])][v] = True
+    masks = np.stack([m.reshape(dims, order="F") for m in masks])
+    return guidance, roi, truth, masks

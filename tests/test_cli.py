@@ -121,6 +121,25 @@ class TestPropagateCommand:
         )
         assert code == 2
 
+    def test_duplicate_label_names_exit_2_before_writing(self, tmp_path, phantom_files, capsys):
+        labels = tmp_path / "dup.tsv"
+        labels.write_text("1\tsame\n2\tsame\n")
+        out = tmp_path / "out"
+        code = run(
+            [
+                "propagate",
+                "--guidance", phantom_files["guidance"],
+                "--roi", phantom_files["roi"],
+                "--labels", labels,
+                "--annotation", *phantom_files["annotation"],
+                "--out", out,
+                "--soft",
+            ]
+        )
+        assert code == 2
+        assert "duplicate label names" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_nan_beta_exits_2(self, tmp_path, phantom_files, capsys):
         code = run(
             [
@@ -373,6 +392,30 @@ class TestPhantomCommand:
         spec_path = tmp_path / "spec.json"
         spec_path.write_text("{broken")
         assert run(["phantom", "--spec", spec_path, "--out", tmp_path / "o"]) == 2
+
+    def test_center_near_upper_edge_exits_0(self, tmp_path):
+        spec = {
+            "dims": [8, 5, 5],
+            "blobs": [
+                {"center": [7.6, 2, 2], "label_id": 1, "intensity": 0.2},
+                {"center": [1, 2, 2], "label_id": 2, "intensity": 0.8},
+            ],
+            "roi_semiaxes": [8, 3, 3],
+        }
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        out = tmp_path / "out"
+        assert run(["phantom", "--spec", spec_path, "--out", out]) == 0
+        assert read_volume(out / "annot_blob1.nii", "mask").data[7, 2, 2]
+
+    def test_duplicate_label_names_exit_2(self, tmp_path, capsys):
+        spec = dict(SPEC_JSON, label_names={"1": "same", "2": "same"})
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        out = tmp_path / "out"
+        assert run(["phantom", "--spec", spec_path, "--out", out]) == 2
+        assert "duplicate" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestInfoCommand:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -5,6 +6,8 @@ import pytest
 
 from voxprop import BadSpec, PropagationRequest, dice, propagate
 from voxprop.phantom import PhantomBlob, PhantomSpec, make_phantom
+
+from helpers import loop_phantom_arrays
 
 
 def small_spec(**kw):
@@ -87,6 +90,18 @@ class TestGeneration:
         # everything else unlabeled
         assert int(counts.sum()) == 2
 
+    def test_center_near_upper_edge_is_clamped(self):
+        # 7.6 rounds to index 8, one past the grid: the kept voxel is x=7
+        spec = small_spec(
+            dims=(8, 5, 5),
+            blobs=(PhantomBlob((7.6, 2.0, 2.0), 1, 0.2), PhantomBlob((0.4, 2.0, 2.0), 2, 0.8)),
+            roi_semiaxes=(8.0, 3.0, 3.0),
+            unlabeled_fraction=1.0,
+        )
+        counts = make_phantom(spec).annotation.label_counts()
+        assert counts[7, 2, 2] == 1 and counts[0, 2, 2] == 1
+        assert int(counts.sum()) == 2
+
     def test_full_unlabeled_recovery_high_contrast(self):
         spec = small_spec(unlabeled_fraction=1.0, noise_sigma=0.01)
         ph = make_phantom(spec)
@@ -127,6 +142,29 @@ class TestValidation:
     def test_no_blobs(self):
         with pytest.raises(BadSpec):
             make_phantom(small_spec(blobs=()))
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            {"spacing": (1.0, 0.0, 1.0)},
+            {"spacing": (1.0, -2.0, 1.0)},
+            {"spacing": (1.0, float("nan"), 1.0)},
+            {"spacing": (1.0, 1.0)},
+            {"seed": -1},
+            {"noise_sigma": float("nan")},
+            {"label_names": {1: "A", 2: "A"}},
+            {"label_names": {1: "blob2"}},
+        ],
+        ids=["zero-spacing", "negative-spacing", "nan-spacing", "two-spacings",
+             "negative-seed", "nan-noise", "duplicate-names", "name-of-unnamed-label"],
+    )
+    def test_malformed_spec_raises_bad_spec(self, kw):
+        with pytest.raises(BadSpec):
+            make_phantom(small_spec(**kw))
+
+    def test_label_id_beyond_uint16(self):
+        with pytest.raises(BadSpec):
+            make_phantom(small_spec(blobs=(PhantomBlob((8.0, 8.0, 8.0), 70_000, 0.5),)))
 
 
 class TestSpecSerialization:
@@ -192,3 +230,130 @@ class TestMonotoneTrust:
                     assert s >= p - 1e-12
             prev = scores
         assert min(prev) > 0.99  # high beta recovers the partition
+
+
+GOLDEN_SPECS = {
+    "conflicts_anisotropic": PhantomSpec(
+        dims=(12, 10, 9),
+        blobs=(
+            PhantomBlob((2.5, 3.2, 4.1), 1, 0.1),
+            PhantomBlob((8.7, 2.9, 4.6), 2, 0.4),
+            PhantomBlob((5.3, 7.8, 2.2), 3, 0.7),
+            PhantomBlob((6.1, 5.4, 7.3), 4, 0.9),
+        ),
+        noise_sigma=0.05, unlabeled_fraction=0.2, conflict_fraction=0.3, seed=7,
+        spacing=(0.5, 1.0, 2.0),
+    ),
+    "duplicate_labels": PhantomSpec(
+        dims=(10, 12, 8),
+        blobs=(
+            PhantomBlob((2.2, 3.1, 3.9), 1, 0.1),
+            PhantomBlob((7.4, 2.8, 4.2), 2, 0.3),
+            PhantomBlob((4.9, 9.3, 2.6), 1, 0.5),
+            PhantomBlob((3.3, 7.7, 5.8), 3, 0.7),
+            PhantomBlob((7.9, 8.6, 4.4), 2, 0.9),
+        ),
+        unlabeled_fraction=0.1, conflict_fraction=0.4, seed=3,
+    ),
+    "integer_ties_no_kept_centers": PhantomSpec(
+        dims=(9, 9, 9),
+        blobs=(
+            PhantomBlob((2.0, 4.0, 4.0), 1, 0.2),
+            PhantomBlob((6.0, 4.0, 4.0), 2, 0.4),
+            PhantomBlob((4.0, 2.0, 4.0), 3, 0.6),
+            PhantomBlob((4.0, 6.0, 4.0), 4, 0.8),
+        ),
+        noise_sigma=0.02, conflict_fraction=0.5, keep_blob_centers=False, seed=5,
+    ),
+    "two_labels_roi": PhantomSpec(
+        dims=(8, 8, 8),
+        blobs=(PhantomBlob((2.0, 3.5, 3.5), 1, 0.2), PhantomBlob((5.0, 3.5, 3.5), 2, 0.8)),
+        roi_semiaxes=(3.0, 2.5, 3.5), unlabeled_fraction=0.3, conflict_fraction=0.3, seed=1,
+        spacing=(1.0, 1.0, 1.5),
+    ),
+}
+
+# sha256 of the raw bytes and the strides of each output; a change here means
+# every phantom-based benchmark workload and test input changed too
+GOLDEN = {
+    "conflicts_anisotropic": {
+        "guidance": ("fe04d470a55f3e9b880c6c2a04e3c733c88026d592c156923538e7750c6c2c23", (720, 72, 8)),
+        "roi": ("4a8fa5415807fed42ed87b58ecd37192044cbfe547e273e11d2813b6045f047d", (90, 9, 1)),
+        "truth": ("ef71e3eca84f9e12f0e9f1d5078d3022e0a912961ae2ea25b6806e55dcb0574e", (180, 18, 2)),
+        "masks": ("c8c070ccf7bc5fb5a1a08b17795cc17c5b071fd0a7526eacd2c686a5e8d9b65d", (1080, 1, 12, 120)),
+    },
+    "duplicate_labels": {
+        "guidance": ("149ac9a516eba43648667bc0d1ed7b7481a7d1d1bc75ba673252966de5c755b5", (768, 64, 8)),
+        "roi": ("a7a78814ab6e806f65db5d04a50e0bd124c262349b6ac760359c431d2a2e5e98", (96, 8, 1)),
+        "truth": ("28dce3d37f8b5176fa5ee0460369d8db356e00588360b22b0834a27d35d09a44", (192, 16, 2)),
+        "masks": ("ae1ad48a59c022ac1bb38c264064b29797535c0074b99bbbf5fac83311183835", (960, 1, 10, 120)),
+    },
+    "integer_ties_no_kept_centers": {
+        "guidance": ("fa49032ad7cc6a3e4a28babed0aa093155a74e7ad473af786cad6e5a8ef8e493", (648, 72, 8)),
+        "roi": ("7a1215bd2ff21661f375847990dc28c78924d313d70251c0836295ee2a0cb9c0", (81, 9, 1)),
+        "truth": ("c57ac57b2cdb83acd7d6d6193fc9ca4aee23ccc4d0ca16750b4c7ec7bd693a40", (162, 18, 2)),
+        "masks": ("2b015a3bdb6d6310346e731ca8cc72bb9af768c7eeb71bde495a0a165474fcbb", (729, 1, 9, 81)),
+    },
+    "two_labels_roi": {
+        "guidance": ("fa49825c1b9cac0eb27bbe32500cc5a58661824e683b0b0594e9d217dd5131b1", (512, 64, 8)),
+        "roi": ("e14f0cdc3026888c779952530ad408d762c208c4766267fc77c00225daab9353", (64, 8, 1)),
+        "truth": ("7fcca06ec622f616bb14ac530b24319c609a1cc36694864185215d151a8f9d2b", (128, 16, 2)),
+        "masks": ("86655322d3dd7ec39884417e6dec45223614c85bb5025bb13f114bebc7d32eab", (512, 1, 8, 64)),
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_phantom_bytes_and_strides(name):
+    ph = make_phantom(GOLDEN_SPECS[name])
+    arrays = {
+        "guidance": ph.guidance.data,
+        "roi": ph.roi.data,
+        "truth": ph.truth.data,
+        "masks": ph.annotation.masks,
+    }
+    for key, (digest, strides) in GOLDEN[name].items():
+        assert hashlib.sha256(arrays[key].tobytes()).hexdigest() == digest, key
+        assert arrays[key].strides == strides, key
+
+
+def random_spec(rng):
+    """A small valid spec: integer centers (ties) and repeated labels are common."""
+    dims = tuple(int(v) for v in rng.integers(1, 12, 3))
+    k = int(rng.integers(1, 7))
+    blobs = tuple(
+        PhantomBlob(
+            tuple(float(rng.integers(0, d)) if integer else float(rng.uniform(0, d))
+                  for d in dims),
+            int(rng.integers(1, k + 1)),
+            float(rng.random()),
+        )
+        for integer in rng.random(k) < 0.4
+    )
+    unlabeled = float(rng.choice([0.0, rng.random()]))
+    two_labels = len({b.label_id for b in blobs}) >= 2
+    return PhantomSpec(
+        dims=dims,
+        blobs=blobs,
+        noise_sigma=float(rng.choice([0.0, 0.05])),
+        unlabeled_fraction=unlabeled,
+        conflict_fraction=float(rng.random() * (1 - unlabeled)) if two_labels else 0.0,
+        keep_blob_centers=bool(rng.random() < 0.7),
+        seed=int(rng.integers(0, 1000)),
+    )
+
+
+def test_matches_per_voxel_loop_on_random_specs():
+    rng = np.random.default_rng(2024)
+    n_checked = 0
+    while n_checked < 60:
+        spec = random_spec(rng)
+        try:
+            ph = make_phantom(spec)
+        except BadSpec:  # an roi with no voxel
+            continue
+        want = loop_phantom_arrays(spec)
+        got = (ph.guidance.data, ph.roi.data, ph.truth.data, ph.annotation.masks)
+        for name, g, w in zip(("guidance", "roi", "truth", "masks"), got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w), (name, spec)
+        n_checked += 1

@@ -508,6 +508,18 @@ class TestBilateral:
         res_bg = propagate_bilateral(req_bg, (left, right))
         assert (res_bg.hard.data[gap] == BACKGROUND_ID).all()
 
+    def test_gap_under_error_policy_raises_before_any_solve(self, rng, monkeypatch):
+        req, left, right = self._mirrored_setup(rng)
+        roi = make_mask(np.ones(req.roi.dims, bool))  # x = 3, 4 lie in no hemisphere
+        req = dataclasses.replace(req, roi=roi, seedless_policy="error")
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve_all called")
+
+        monkeypatch.setattr(sys.modules["voxprop.propagate"], "solve_all", no_solve)
+        with pytest.raises(SeedlessComponent, match="outside both hemisphere masks"):
+            propagate_bilateral(req, (left, right))
+
     def _pocket_setup(self, policy):
         # a 9-voxel row: left = {0, 1, 3}, right = {4..8}, x=2 outside the
         # roi. Left voxel 3 is cut off from left's seed at x=0, so it is a

@@ -91,6 +91,8 @@ class TestLabelSet:
             LabelSet(((2, "b"), (1, "a")))
         with pytest.raises(ValueError):
             LabelSet(((1, "a"), (1, "b")))
+        with pytest.raises(ValueError, match="duplicate label names"):
+            LabelSet(((1, "A"), (2, "A")))
         with pytest.raises(ValueError):
             LabelSet(((0, "bg"),))
         with pytest.raises(ValueError):
