@@ -360,18 +360,11 @@ class _Reduction(NamedTuple):
 
 
 def _reduce(sys: DirichletSystem) -> _Reduction:
-    """Colour split of L_U; W is read off L_U's CSR arrays, S never formed."""
+    """Colour split of L_U; W is the e-by-o block of -L_U, S never formed."""
     L = sys.L_U
     in_e = sys.odd if 2 * np.count_nonzero(sys.odd) > sys.odd.size else ~sys.odd
     e, o = np.flatnonzero(in_e), np.flatnonzero(~in_e)
-    o_col = np.cumsum(~in_e) - 1  # a row of o's column in W
-    row_nnz = np.diff(L.indptr)
-    # an e row's entries off the diagonal are exactly its entries in o columns
-    entry = np.repeat(in_e, row_nnz) & ~in_e[L.indices]
-    indptr = np.concatenate([[0], np.cumsum(row_nnz[e] - 1)])
-    W = sp.csr_matrix(
-        (-L.data[entry], o_col[L.indices[entry]], indptr), shape=(e.size, o.size)
-    )
+    W = -L[e][:, o]
     diag = L.diagonal()
     e_inv = 1.0 / diag[e]
     s_diag = diag[o] - np.bincount(

@@ -7,7 +7,8 @@ the unseeded voxels and their neighbours (`assemble`), and it is solved for
 every label (`solve_all`: one sparse LU when its blocks are small, PCG on
 the red-black reduced system otherwise). Outputs are soft per-label
 probability volumes plus the argmax hard labeling, with a run report for
-auditing.
+auditing. `propagate` runs this over the roi, and `propagate_bilateral`
+over each hemisphere, through one driver.
 
 Connected roi pockets that end up with no seed at all are left out of the
 solve: a random walker there never reaches a seed. The `seedless_policy`
@@ -17,6 +18,7 @@ of the spatially nearest seed.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass, field
 
@@ -133,95 +135,120 @@ def _nearest_seed_cols(fill_voxels, seed_voxels, seed_cols, dims, spacing):
     return cols
 
 
-def _solve_region(req: PropagationRequest, roi: Volume3D, seeds, conflicts):
-    """Seeded Dirichlet solve over `roi`, and the fill of its seeds and pockets.
+def _propagate(req: PropagationRequest, regions: tuple[Volume3D, ...], where: str):
+    """Seeded random-walker propagation over each of the disjoint `regions`.
 
-    Only the voxels of the seed label volume `seeds` inside `roi` are
-    seeds. Returns ``(voxels, values)`` over the unseeded nodes, with
-    values (n_unseeded, m); the fills as ``(voxels, label columns)`` pairs,
-    the seeds first and then, under nearest_seed, the seedless pockets; and
-    the region's report.
+    Conflicts are stripped once; each region is solved on its own seeds,
+    and every region must hold one. Seeds outside all regions are dropped,
+    with a warning naming them as outside `where`; roi voxels outside all
+    regions form the gap. Every region is assembled before the seedless
+    policy is applied, once, to the gap and to every region's pockets, so
+    "error" raises before any solve. Under "nearest_seed" a pocket voxel
+    takes the label of its region's nearest seed and a gap voxel that of
+    the nearest seed of any region, both measured with the roi's spacing.
+
+    Returns the soft volumes, the hard map, one report per region, and the
+    run's seed and gap counts.
     """
-    labels = req.annotation.labels
-    seeds_in = (seeds > 0) & roi.data
-    if not seeds_in.any():
-        raise NoSeedsInRoi("no single-labeled voxel inside the roi")
-    seed_flat = np.flatnonzero(seeds_in.ravel(order="F"))
-    seed_labels = seeds.ravel(order="F")[seed_flat]
+    labels, roi = req.annotation.labels, req.roi
+    seeds_vol, conflict_vol = strip_conflicts(req.annotation)
+    seeds, conflicts = seeds_vol.data, conflict_vol.data
+    union = functools.reduce(np.logical_or, [r.data for r in regions])
+    n_outside = int(((seeds > 0) & ~union).sum())
+    if n_outside:
+        log.warning("dropping %d seeds outside the %s", n_outside, where)
+    gap = np.flatnonzero((roi.data & ~union).ravel(order="F"))
 
-    system = assemble(req.guidance, roi, (seed_flat, seed_labels), req.beta, labels)
-    seedless, pocket_voxels = system.seedless_components, system.pocket_voxels
-    if seedless and req.seedless_policy == "error":
-        raise SeedlessComponent(
-            f"unseeded blocks {list(seedless)} reach no seed "
-            f"({pocket_voxels.size} voxels)",
-            component_ids=seedless,
-        )
-    field_ = solve_all(system, req.solver)
-    solved = (system.unseeded, field_.values)
-
-    seed_cols = np.searchsorted(labels.ids, seed_labels)
-    fills = [(seed_flat, seed_cols)]
-    n_filled = 0
-    if seedless and req.seedless_policy == "nearest_seed":
-        cols = _nearest_seed_cols(pocket_voxels, seed_flat, seed_cols, roi.dims, roi.spacing)
-        fills.append((pocket_voxels, cols))
-        n_filled = pocket_voxels.size
-
-    stats = [
-        {
-            "label_id": int(s.label_id),
-            "name": labels.name(int(s.label_id)),
-            "iterations": int(s.iterations),
-            "residual": float(s.residual),
-            "closure": bool(s.closure),
-        }
-        for s in field_.stats
+    region_seeds = []
+    for region in regions:
+        seed_flat = np.flatnonzero(((seeds > 0) & region.data).ravel(order="F"))
+        if not seed_flat.size:
+            raise NoSeedsInRoi("no single-labeled voxel inside the roi")
+        region_seeds.append((seed_flat, seeds.ravel(order="F")[seed_flat]))
+    systems = [
+        assemble(req.guidance, region, s, req.beta, labels)
+        for region, s in zip(regions, region_seeds)
     ]
-    report = {
-        "n_nodes": int(seed_flat.size + system.n_unseeded),
-        "n_unseeded": int(system.n_unseeded),
-        "n_seeds": int(seed_flat.size),
-        "n_conflicts_cleared": int((conflicts & roi.data).sum()),
-        "n_blocks": system.n_blocks,
-        "largest_block": system.largest_block,
-        "route": field_.route,
-        "direct_error": field_.direct_error,
-        "seedless_components": list(seedless),
-        "n_seedless_voxels": int(pocket_voxels.size),
-        "n_policy_filled": int(n_filled),
-        "policy": req.seedless_policy,
-        "beta": float(req.beta),
-        "rel_tol": float(req.solver.rel_tol),
-        "labels": stats,
-        "total_iterations": int(sum(s["iterations"] for s in stats)),
+
+    policy = req.seedless_policy
+    if policy == "error":
+        if gap.size:
+            raise SeedlessComponent(f"{gap.size} roi voxels lie outside the {where}")
+        for system in systems:
+            if system.seedless_components:
+                raise SeedlessComponent(
+                    f"unseeded blocks {list(system.seedless_components)} reach no seed "
+                    f"({system.pocket_voxels.size} voxels)",
+                    component_ids=system.seedless_components,
+                )
+    fill = policy == "nearest_seed"
+
+    solved, seed_fills, policy_fills, reports = [], [], [], []
+    for region, (seed_flat, seed_labels) in zip(regions, region_seeds):
+        system = systems.pop(0)  # freed after its solve, before the soft volumes exist
+        field_ = solve_all(system, req.solver)
+        solved.append((system.unseeded, field_.values))
+        seed_fills.append((seed_flat, np.searchsorted(labels.ids, seed_labels)))
+        pockets = system.pocket_voxels
+        if fill and pockets.size:
+            cols = _nearest_seed_cols(pockets, *seed_fills[-1], roi.dims, roi.spacing)
+            policy_fills.append((pockets, cols))
+        stats = [
+            {
+                "label_id": int(s.label_id),
+                "name": labels.name(int(s.label_id)),
+                "iterations": int(s.iterations),
+                "residual": float(s.residual),
+                "closure": bool(s.closure),
+            }
+            for s in field_.stats
+        ]
+        reports.append({
+            "n_nodes": int(seed_flat.size + system.n_unseeded),
+            "n_unseeded": int(system.n_unseeded),
+            "n_seeds": int(seed_flat.size),
+            "n_conflicts_cleared": int((conflicts & region.data).sum()),
+            "n_blocks": system.n_blocks,
+            "largest_block": system.largest_block,
+            "route": field_.route,
+            "direct_error": field_.direct_error,
+            "seedless_components": list(system.seedless_components),
+            "n_seedless_voxels": int(pockets.size),
+            "n_policy_filled": int(pockets.size) if fill else 0,
+            "policy": policy,
+            "beta": float(req.beta),
+            "rel_tol": float(req.solver.rel_tol),
+            "labels": stats,
+            "total_iterations": int(sum(s["iterations"] for s in stats)),
+        })
+        del system
+    if fill and gap.size:
+        all_seeds = (np.concatenate(parts) for parts in zip(*seed_fills))
+        policy_fills.append((gap, _nearest_seed_cols(gap, *all_seeds, roi.dims, roi.spacing)))
+    fills = seed_fills + policy_fills
+    run = {
+        "n_seeds_outside_roi": n_outside,
+        "n_gap_voxels": int(gap.size),
+        "n_gap_filled": int(gap.size) if fill else 0,
     }
-    return solved, fills, report
 
-
-def _write_volumes(like: Volume3D, labels: LabelSet, solved, fills):
-    """Scatter node-space results and fills into soft volumes and a hard map.
-
-    `solved` holds ``(voxels, values)`` pairs and `fills` holds ``(voxels,
-    label columns)`` pairs, seeds and policy fills alike, which get one-hot
-    rows. A hard voxel takes its row's argmax, ties going to the smallest
-    label id. Voxels in neither stay background with zero probabilities.
-    """
+    # one-hot rows for the fills; a hard voxel takes its row's argmax, ties
+    # going to the smallest label id; voxels in neither stay background
     ids = np.asarray(labels.ids, dtype=np.uint16)
-    hard = np.full(like.n_voxels, BACKGROUND_ID, dtype=np.uint16)
+    hard = np.full(roi.n_voxels, BACKGROUND_ID, dtype=np.uint16)
     for voxels, values in solved:
         hard[voxels] = ids[np.argmax(values, axis=1)]
     for voxels, cols in fills:
         hard[voxels] = ids[cols]
     soft = []
     for k in range(len(labels)):
-        flat = np.zeros(like.n_voxels)
+        flat = np.zeros(roi.n_voxels)
         for voxels, values in solved:
             flat[voxels] = values[:, k]
         for voxels, cols in fills:
             flat[voxels[cols == k]] = 1.0
-        soft.append(_volume(flat, like, "probability"))
-    return tuple(soft), _volume(hard, like, "label")
+        soft.append(_volume(flat, roi, "probability"))
+    return tuple(soft), _volume(hard, roi, "label"), reports, run
 
 
 def _volume(flat: np.ndarray, like: Volume3D, kind) -> Volume3D:
@@ -243,15 +270,9 @@ def propagate(req: PropagationRequest, workers: int = 1) -> PropagationResult:
         Under ``seedless_policy="error"`` when an unseeded block has no edge
         to a seed.
     """
-    seeds_vol, conflict_vol = strip_conflicts(req.annotation)
-    n_outside = int(((seeds_vol.data > 0) & ~req.roi.data).sum())
-    if n_outside:
-        log.warning("dropping %d seeds outside the roi", n_outside)
-    solved, fills, report = _solve_region(req, req.roi, seeds_vol.data, conflict_vol.data)
-    labels = req.annotation.labels
-    soft, hard = _write_volumes(req.roi, labels, [solved], fills)
-    report = {"n_seeds_outside_roi": n_outside, **report}
-    return PropagationResult(labels, soft, hard, report)
+    soft, hard, (region,), run = _propagate(req, (req.roi,), "roi")
+    report = {"n_seeds_outside_roi": run["n_seeds_outside_roi"], **region}
+    return PropagationResult(req.annotation.labels, soft, hard, report)
 
 
 def propagate_bilateral(
@@ -264,7 +285,8 @@ def propagate_bilateral(
     The two masks must be disjoint and lie inside the request roi. A
     hemisphere's seedless pockets are filled from its own seeds; roi voxels
     outside both hemispheres follow the request's seedless policy, using
-    the seeds of both. `workers` is ignored, as in `propagate`.
+    the seeds of both. Fill distances use the roi's spacing, whatever the
+    masks' spacing. `workers` is ignored, as in `propagate`.
 
     Raises
     ------
@@ -273,8 +295,8 @@ def propagate_bilateral(
         If either hemisphere contains no seed.
     SeedlessComponent
         Under ``seedless_policy="error"`` if roi voxels lie outside both
-        hemispheres (checked before any solve) or a hemisphere has a
-        seedless pocket.
+        hemispheres or a hemisphere has a seedless pocket; both are checked
+        before any solve.
     """
     left, right = hemisphere_masks
     for h in (left, right):
@@ -286,42 +308,14 @@ def propagate_bilateral(
     union = left.data | right.data
     if (union & ~req.roi.data).any():
         raise ValueError("hemisphere masks extend outside the roi")
-    gap = req.roi.data & ~union
-    n_gap = int(gap.sum())
-    if n_gap and req.seedless_policy == "error":
-        raise SeedlessComponent(f"{n_gap} roi voxels lie outside both hemisphere masks")
 
-    labels = req.annotation.labels
-    seeds_vol, conflict_vol = strip_conflicts(req.annotation)
-    seeds = seeds_vol.data
-    n_outside = int(((seeds > 0) & ~union).sum())
-    if n_outside:
-        log.warning("dropping %d seeds outside the hemisphere masks", n_outside)
-    halves = [_solve_region(req, h, seeds, conflict_vol.data) for h in (left, right)]
-
-    fills = [f for _, region_fills, _ in halves for f in region_fills]
-    n_gap_filled = 0
-    if n_gap and req.seedless_policy == "nearest_seed":
-        gap_voxels = np.flatnonzero(gap.ravel(order="F"))
-        # each half's first fill holds its seeds: together, the seeds in `union`
-        seed_voxels, seed_cols = (
-            np.concatenate(parts) for parts in zip(*(f[0] for _, f, _ in halves))
-        )
-        gap_cols = _nearest_seed_cols(
-            gap_voxels, seed_voxels, seed_cols, req.roi.dims, req.roi.spacing
-        )
-        fills.append((gap_voxels, gap_cols))
-        n_gap_filled = n_gap
-
-    soft, hard = _write_volumes(req.roi, labels, [s for s, _, _ in halves], fills)
+    soft, hard, halves, run = _propagate(req, (left, right), "hemisphere masks")
     report = {
         "mode": "bilateral",
-        "hemispheres": [r for _, _, r in halves],
-        "n_seeds_outside_roi": n_outside,
-        "n_gap_voxels": n_gap,
-        "n_gap_filled": n_gap_filled,
+        "hemispheres": halves,
+        **run,
         "policy": req.seedless_policy,
         "beta": float(req.beta),
-        "n_labeled_voxels": int(union.sum()) + n_gap_filled,
+        "n_labeled_voxels": int(union.sum()) + run["n_gap_filled"],
     }
-    return PropagationResult(labels, soft, hard, report)
+    return PropagationResult(req.annotation.labels, soft, hard, report)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import os
 import subprocess
 import sys
@@ -25,6 +26,7 @@ from voxprop import (
     propagate_bilateral,
 )
 from voxprop import dirichlet
+from voxprop.phantom import PhantomBlob, PhantomSpec, make_phantom
 from voxprop.propagate import PropagationRequest, _nearest_seed_cols
 
 from conftest import annotation_from_sets, full_mask, make_intensity, make_mask
@@ -475,7 +477,7 @@ class TestBilateral:
             inside = hemi.data
             assert np.array_equal(res.hard.data[inside], sub.hard.data[inside])
             for a, b in zip(res.soft, sub.soft):
-                assert np.allclose(a.data[inside], b.data[inside])
+                assert np.array_equal(a.data[inside], b.data[inside])
 
     def test_empty_hemisphere_raises(self, rng):
         req, left, right = self._mirrored_setup(rng)
@@ -517,7 +519,7 @@ class TestBilateral:
             raise AssertionError("solve_all called")
 
         monkeypatch.setattr(sys.modules["voxprop.propagate"], "solve_all", no_solve)
-        with pytest.raises(SeedlessComponent, match="outside both hemisphere masks"):
+        with pytest.raises(SeedlessComponent, match="outside the hemisphere masks"):
             propagate_bilateral(req, (left, right))
 
     def _pocket_setup(self, policy):
@@ -555,6 +557,50 @@ class TestBilateral:
         assert res.report["hemispheres"][0]["n_policy_filled"] == 0
         assert (res.hard.data[[0, 1, 4, 5, 6, 7, 8], 0, 0] != BACKGROUND_ID).all()
 
+    def test_pocket_in_second_hemisphere_raises_before_any_solve(self, monkeypatch):
+        # _pocket_setup("error") mirrored: the pocket at x=5 lies in the right
+        # hemisphere, cut off from right's seed at x=8
+        dims = (9, 1, 1)
+        left = np.zeros(dims, bool)
+        left[:5] = True
+        right = np.zeros(dims, bool)
+        right[[5, 7, 8]] = True
+        req = PropagationRequest(
+            guidance=make_intensity(np.zeros(dims)),
+            roi=make_mask(left | right),
+            annotation=annotation_from_sets(LABELS, dims, {(4, 0, 0): {2}, (8, 0, 0): {5}}),
+            seedless_policy="error",
+        )
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve_all called")
+
+        monkeypatch.setattr(sys.modules["voxprop.propagate"], "solve_all", no_solve)
+        with pytest.raises(SeedlessComponent) as exc:
+            propagate_bilateral(req, (make_mask(left), make_mask(right)))
+        assert exc.value.component_ids
+
+    def test_fills_use_the_roi_spacing(self):
+        # a z-step costs 10 in the roi's spacing; the masks carry the default
+        # (1, 1, 1). Left pocket (0,0,0) is 2 z-steps (20) from seed a at
+        # (0,0,2) and 3 y-steps (3) from seed b at (0,3,0): b is nearer.
+        dims, spacing = (1, 4, 6), (1.0, 1.0, 10.0)
+        left = np.zeros(dims, bool)
+        left[0, [0, 0, 2, 3, 3, 3], [0, 2, 0, 0, 1, 2]] = True
+        right = np.zeros(dims, bool)
+        right[:, :, 4:] = True
+        sets = {(0, 0, 2): {2}, (0, 3, 0): {5}, (0, 0, 5): {2}}
+        req = PropagationRequest(
+            guidance=make_intensity(np.zeros(dims), spacing=spacing),
+            roi=Volume3D(left | right, "mask", spacing),
+            annotation=annotation_from_sets(LABELS, dims, sets),
+        )
+        res = propagate_bilateral(req, (make_mask(left), make_mask(right)))
+        assert res.report["hemispheres"][0]["n_policy_filled"] == 1
+        assert res.hard.data[0, 0, 0] == 5
+        alone = propagate(dataclasses.replace(req, roi=Volume3D(left, "mask", spacing)))
+        assert alone.hard.data[0, 0, 0] == 5
+
     def test_seeds_of_the_other_hemisphere_are_not_dropped(self, rng, caplog):
         req, left, right = self._mirrored_setup(rng)
         with caplog.at_level("WARNING", logger="voxprop.propagate"):
@@ -582,6 +628,32 @@ class TestBilateral:
         assert {"n_gap_voxels", "n_gap_filled"} <= report.keys()
         report = propagate(req).report
         assert {"n_seedless_voxels", "n_policy_filled"} <= report.keys()
+
+
+def test_patch_points_called_once_per_region(rng, monkeypatch):
+    """The traced benchmark times `strip_conflicts`, `assemble` and `solve_all`
+    by replacing them on this module: the pipeline must look them up there,
+    stripping once per run and assembling and solving once per region."""
+    module = sys.modules["voxprop.propagate"]
+    calls = {}
+
+    def counting(name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("strip_conflicts", "assemble", "solve_all"):
+        monkeypatch.setattr(module, name, counting(name))
+    req, left, right = TestBilateral()._mirrored_setup(rng)
+    propagate(req)
+    assert calls == {"strip_conflicts": 1, "assemble": 1, "solve_all": 1}
+    calls.clear()
+    propagate_bilateral(req, (left, right))
+    assert calls == {"strip_conflicts": 1, "assemble": 2, "solve_all": 2}
 
 
 def test_report_gives_blocks_and_route():
@@ -718,3 +790,100 @@ def test_propagate_properties_with_pockets(req):
     ref = dense_dirichlet(n, edges, node_seeds, labels.ids)
     got = np.array([soft[v] for v in node_of])
     assert np.abs(got - ref).max() <= 1e-6
+
+
+GOLDEN_SPECS = {
+    "anisotropic": PhantomSpec(
+        dims=(12, 10, 9),
+        blobs=(
+            PhantomBlob((2.5, 3.2, 4.1), 1, 0.1),
+            PhantomBlob((8.7, 2.9, 4.6), 2, 0.4),
+            PhantomBlob((5.3, 7.8, 2.2), 3, 0.7),
+            PhantomBlob((6.1, 5.4, 7.3), 4, 0.9),
+        ),
+        noise_sigma=0.05, unlabeled_fraction=0.3, conflict_fraction=0.2, seed=7,
+        spacing=(0.5, 1.0, 2.0),
+    ),
+    "capped": PhantomSpec(
+        dims=(16, 10, 8),
+        blobs=(
+            PhantomBlob((3.5, 4.2, 3.1), 1, 0.2),
+            PhantomBlob((8.1, 6.3, 4.4), 2, 0.5),
+            PhantomBlob((12.6, 3.8, 3.9), 3, 0.8),
+        ),
+        noise_sigma=0.02, unlabeled_fraction=0.2, conflict_fraction=0.2, seed=4,
+        spacing=(1.0, 1.0, 1.5),
+    ),
+}
+
+
+def golden_run(entry, spec_name, policy):
+    """Run `entry` ("propagate" or "bilateral") on a golden phantom.
+
+    On "capped", the roi's outermost two x-planes at each end are cut off by
+    a one-plane gap and lose their annotation, so each end is a seedless
+    pocket; the bilateral run also leaves a two-plane gap slab mid-roi.
+    """
+    ph = make_phantom(GOLDEN_SPECS[spec_name])
+    spacing = ph.roi.spacing
+    roi, masks = ph.roi.data, ph.annotation.masks
+    hemispheres = None
+    if spec_name == "capped":
+        x = np.arange(roi.shape[0])[:, None, None]
+        xs = np.flatnonzero(roi.any(axis=(1, 2)))
+        lo, hi, mid = xs.min() + 2, xs.max() - 2, roi.shape[0] // 2
+        cut = roi & (x != lo) & (x != hi)
+        masks = masks & ~(roi & ((x < lo) | (x > hi)))
+        halves = (cut & (x < mid - 1), cut & (x > mid))
+        hemispheres = tuple(Volume3D(h, "mask", spacing) for h in halves)
+        if entry == "propagate":
+            roi = cut
+    req = PropagationRequest(
+        guidance=ph.guidance, roi=Volume3D(roi, "mask", spacing),
+        annotation=MultiLabelAnnotation(ph.labels, masks, spacing),
+        beta=1000.0, seedless_policy=policy,
+    )
+    return propagate(req) if entry == "propagate" else propagate_bilateral(req, hemispheres)
+
+
+# sha256 of the soft volumes' bytes (in label order) and of the hard map
+GOLDEN = {
+    ("bilateral", "capped", "background", "direct"): (
+        "12e8e71c24d7cc32375a852f2b3adef2ea2f9b7ab1f6400f128cd842029749c1",
+        "9299dd628c46e878fb30a2965ecac8c525de9567334b945bbb4c9891976a2ade",
+    ),
+    ("bilateral", "capped", "nearest_seed", "direct"): (
+        "f7da05d78b1ec23c4346100e2a9276d23b7ea4d2626ca861fa86239ede1eb556",
+        "2414605a860bd8905992e271249a39854e623ed741499b1d2ea0599a94a677a2",
+    ),
+    ("propagate", "anisotropic", "nearest_seed", "direct"): (
+        "d33199f1b6d0de694dd30b0604108a8d0162f035b6bc9497a217285e449d2497",
+        "35d1c28eaf121366afa256f1e17ab214fe00fbf1baf15d133d96256ab1f00a20",
+    ),
+    ("propagate", "anisotropic", "nearest_seed", "pcg"): (
+        "1657839404f83bc6cbc2606d60f6bb94a978869dfbd117ff263dcd4902bb6129",
+        "35d1c28eaf121366afa256f1e17ab214fe00fbf1baf15d133d96256ab1f00a20",
+    ),
+    ("propagate", "capped", "background", "direct"): (
+        "faf466fdebbfea3ea66b6091d038305d85876839c654b6f410ac95d502117043",
+        "323d1e2bfe2866456f6f0165e45aa35f46183534c45d9d7a5b1251be16a83b5d",
+    ),
+    ("propagate", "capped", "nearest_seed", "direct"): (
+        "22d6050be92b8ca51c4dd3f842a52802b1b1fc7c23c1da0bece4b76e389d16d6",
+        "1f2b295f3004e3fb685337c3926d72a3b3d7113ecf1732586fdfe8f53012bdb0",
+    ),
+}
+
+
+def golden_digests(res):
+    soft = b"".join(v.data.tobytes() for v in res.soft)
+    return hashlib.sha256(soft).hexdigest(), hashlib.sha256(res.hard.data.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN), ids="-".join)
+def test_golden_outputs(case, monkeypatch):
+    entry, spec_name, policy, route = case
+    if route == "pcg":
+        monkeypatch.setattr(dirichlet, "DIRECT_BLOCK_LIMIT", 0)
+    res = golden_run(entry, spec_name, policy)
+    assert golden_digests(res) == GOLDEN[case]
