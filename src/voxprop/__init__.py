@@ -29,7 +29,6 @@ _EXPORTS = {
         "DirichletSystem",
         "LabelSolveStats",
         "ProbabilityField",
-        "SolverConfig",
         "assemble",
         "solve_all",
     ),

@@ -33,7 +33,6 @@ def _fail(msg: str, code: int) -> int:
 
 def cmd_propagate(args) -> int:
     # the solver stack (scipy) loads here only: the other commands need numpy alone
-    from .dirichlet import SolverConfig
     from .propagate import PropagationRequest, propagate
 
     labels = read_labelset(args.labels)
@@ -45,7 +44,7 @@ def cmd_propagate(args) -> int:
         roi=roi,
         annotation=annotation,
         beta=args.beta,
-        solver=SolverConfig(rel_tol=args.tol),
+        rel_tol=args.tol,
         seedless_policy=args.policy,
     )
     result = propagate(req)

@@ -43,8 +43,8 @@ which is SPD and is solved by CG with S's own diagonal as the Jacobi
 preconditioner; S is applied as two products with W and never formed.
 The back-substitution leaves the e rows with no residual, so the full
 system's Jacobi residual ||D^-1 (b - L_U x)|| is ||r_o / d_o||: the
-stopping rule `SolverConfig.rel_tol` is tested on that, and a label's
-reported iterations count steps of CG on S.
+stopping rule of `solve_all` (its `rel_tol`) is tested on that, and a
+label's reported iterations count steps of CG on S.
 """
 
 from __future__ import annotations
@@ -57,13 +57,14 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .errors import ConvergenceFailure, NonFiniteInput, NoSeeds
-from .lattice import _weights, block_ids, lattice_inputs, neighbor_voxels, voxel_parity
-from .volume import LabelSet, Volume3D
+from .errors import ConvergenceFailure, EmptyRoi, NonFiniteInput, NoSeeds
+from .lattice import _check_beta, _weights, block_ids, neighbor_voxels, voxel_parity
+from .volume import LabelSet, Volume3D, require_same_dims
 
 log = logging.getLogger(__name__)
 
-#: Iteration cap regardless of system size.
+#: Most CG steps one label may take; a smaller system stops at 10 steps per
+#: unseeded node.
 MAX_ITERS_CAP = 100_000
 
 #: Tolerated probability drift outside [0, 1] before clamping.
@@ -79,34 +80,13 @@ PROB_HARD_LIMIT = 1e-4
 DIRECT_BLOCK_LIMIT = 4096
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """Tolerances for the Jacobi-preconditioned conjugate-gradient solver.
-
-    A label's solve stops once ``||D^-1 (b - L_U x)|| <= rel_tol *
-    ||D^-1 b||``, D the diagonal of L_U: the Jacobi-preconditioned residual
-    of the full system relative to the preconditioned right-hand side.
-    rel_tol must be finite (:class:`NonFiniteInput` otherwise) and positive.
-    max_iters caps the steps of CG on the reduced system (see the module
-    docstring) and defaults to ``min(10 * n_unseeded, 100_000)`` when left
-    unset.
-    """
-
-    rel_tol: float = 1e-8
-    max_iters: int | None = None
-
-    def __post_init__(self):
-        if not np.isfinite(self.rel_tol):
-            raise NonFiniteInput(f"rel_tol is {self.rel_tol}")
-        if self.rel_tol <= 0:
-            raise ValueError(f"rel_tol must be > 0, got {self.rel_tol}")
-        if self.max_iters is not None and self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-
-    def resolve_max_iters(self, n_unseeded: int) -> int:
-        if self.max_iters is not None:
-            return self.max_iters
-        return max(1, min(10 * n_unseeded, MAX_ITERS_CAP))
+def _check_rel_tol(rel_tol: float) -> float:
+    rel_tol = float(rel_tol)
+    if not np.isfinite(rel_tol):
+        raise NonFiniteInput(f"rel_tol is {rel_tol}")
+    if rel_tol <= 0:
+        raise ValueError(f"rel_tol must be > 0, got {rel_tol}")
+    return rel_tol
 
 
 @dataclass(frozen=True)
@@ -114,7 +94,7 @@ class LabelSolveStats:
     """Per-label iteration count and achieved relative residual.
 
     `iterations` counts CG steps on the reduced system; `residual` is the
-    full system's relative Jacobi residual that `SolverConfig.rel_tol` bounds.
+    full system's relative Jacobi residual that `solve_all`'s rel_tol bounds.
     """
 
     label_id: int
@@ -250,12 +230,31 @@ def assemble(
 
     Raises
     ------
+    DimMismatch
+        If guidance and roi differ in dims.
+    EmptyRoi
+        If the roi selects no voxel.
+    NonFiniteInput
+        If beta, or the guidance inside the roi, is NaN or inf.
     NoSeeds
         If no seed is given.
-    DimMismatch, EmptyRoi, NonFiniteInput
-        As `lattice.lattice_inputs`.
+    ValueError
+        If guidance is not an intensity volume or roi not a mask, beta is
+        negative, or a seed is out of range, outside the roi, repeated or
+        labelled outside `labels` or with an id <= 0.
     """
-    intensity, inside, beta = lattice_inputs(guidance, roi, beta)
+    if guidance.kind != "intensity":
+        raise ValueError(f"guidance must be an intensity volume, got {guidance.kind!r}")
+    if roi.kind != "mask":
+        raise ValueError(f"roi must be a mask volume, got {roi.kind!r}")
+    require_same_dims(guidance, roi)
+    beta = _check_beta(beta)
+    inside = roi.data.ravel(order="F")
+    intensity = guidance.data.ravel(order="F")
+    if not inside.any():
+        raise EmptyRoi("roi selects no voxels")
+    if not np.isfinite(intensity).all() and not np.isfinite(intensity[inside]).all():
+        raise NonFiniteInput("guidance image has non-finite values inside the roi")
     seed_voxels, seed_labels = _coerce_seeds(seeds)
     if seed_voxels.size == 0:
         raise NoSeeds("at least one seeded voxel is required")
@@ -373,7 +372,7 @@ def _reduce(sys: DirichletSystem) -> _Reduction:
     return _Reduction(e, o, W, e_inv, diag[o], 1.0 / s_diag)
 
 
-def _pcg(red: _Reduction, b, scale, rel_tol, max_iters):
+def _pcg(red: _Reduction, b, scale, rel_tol, iter_cap):
     """Jacobi-preconditioned CG on S x = b; returns (x, iterations, residual).
 
     r = b - S x is the residual that the full system has in the o rows after
@@ -389,7 +388,7 @@ def _pcg(red: _Reduction, b, scale, rel_tol, max_iters):
     stop = rel_tol * scale
     res = np.linalg.norm(r / red.d_o)
     iters = 0
-    while res > stop and iters < max_iters:
+    while res > stop and iters < iter_cap:
         t = W @ p
         t *= red.e_inv
         Sp = red.d_o * p
@@ -414,7 +413,7 @@ def _pcg(red: _Reduction, b, scale, rel_tol, max_iters):
     return x, iters, res / scale
 
 
-def _solve_one(sys: DirichletSystem, red: _Reduction, label: int, cfg: SolverConfig, out):
+def _solve_one(sys: DirichletSystem, red: _Reduction, label: int, rel_tol: float, out):
     """One label's x over `sys.unseeded` by PCG on S, written into `out`.
 
     Returns the label's stats. A label with no seeds gives zeros without
@@ -429,11 +428,11 @@ def _solve_one(sys: DirichletSystem, red: _Reduction, label: int, cfg: SolverCon
     b_o = b[red.o]
     y = b_e * red.e_inv
     scale = np.hypot(np.linalg.norm(y), np.linalg.norm(b_o / red.d_o))  # ||D^-1 b||
-    max_iters = cfg.resolve_max_iters(sys.n_unseeded)
-    x_o, iters, res = _pcg(red, b_o + red.W.T @ y, scale, cfg.rel_tol, max_iters)
-    if res > cfg.rel_tol:
+    iter_cap = min(10 * sys.n_unseeded, MAX_ITERS_CAP)
+    x_o, iters, res = _pcg(red, b_o + red.W.T @ y, scale, rel_tol, iter_cap)
+    if res > rel_tol:
         raise ConvergenceFailure(
-            f"label {label}: residual {res:.3e} > rel_tol {cfg.rel_tol:.3e} "
+            f"label {label}: residual {res:.3e} > rel_tol {rel_tol:.3e} "
             f"after {iters} iterations",
             iterations=iters,
             residual=res,
@@ -443,7 +442,7 @@ def _solve_one(sys: DirichletSystem, red: _Reduction, label: int, cfg: SolverCon
     return LabelSolveStats(label, iters, float(res))
 
 
-def solve_all(sys: DirichletSystem, cfg: SolverConfig = SolverConfig()) -> ProbabilityField:
+def solve_all(sys: DirichletSystem, rel_tol: float = 1e-8) -> ProbabilityField:
     """Probabilities of every label over the unseeded nodes.
 
     Returns values of shape (n_unseeded, m), rows ordered like
@@ -457,7 +456,16 @@ def solve_all(sys: DirichletSystem, cfg: SolverConfig = SolverConfig()) -> Proba
     label id. Tiny negative drift is clamped to [0, 1]; rows whose sum moved
     more than 1e-6 from 1 are renormalized (logged). Drift beyond 1e-4
     raises: that indicates a misconfigured solve, not roundoff.
+
+    A label's CG stops once ``||D^-1 (b - L_U x)|| <= rel_tol * ||D^-1 b||``,
+    D the diagonal of L_U: the Jacobi-preconditioned residual of the full
+    system relative to the preconditioned right-hand side. It raises
+    :class:`ConvergenceFailure` if that takes more than ``min(10 *
+    n_unseeded, MAX_ITERS_CAP)`` steps. rel_tol must be finite
+    (:class:`NonFiniteInput` otherwise) and positive; the direct route does
+    not use it.
     """
+    rel_tol = _check_rel_tol(rel_tol)
     label_ids = sys.label_ids
     direct_error = None
     if 0 < sys.largest_block <= DIRECT_BLOCK_LIMIT:
@@ -476,7 +484,7 @@ def solve_all(sys: DirichletSystem, cfg: SolverConfig = SolverConfig()) -> Proba
     head = label_ids[:-1] if sys.n_unseeded else ()
     red = _reduce(sys) if head else None
     values = np.empty((sys.n_unseeded, len(label_ids)))
-    stats = [_solve_one(sys, red, lab, cfg, values[:, k]) for k, lab in enumerate(head)]
+    stats = [_solve_one(sys, red, lab, rel_tol, values[:, k]) for k, lab in enumerate(head)]
     values[:, -1] = 1.0 - values[:, :-1].sum(axis=1)
     stats += [LabelSolveStats(lab, 0, 0.0, closure=True) for lab in label_ids[len(head):]]
     _finalize_probabilities(values)

@@ -22,8 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components as _cc
 
-from .errors import EmptyRoi, NonFiniteInput
-from .volume import Volume3D, require_same_dims
+from .errors import NonFiniteInput
 
 #: Lower clamp for edge weights. Keeps every weight strictly positive
 #: (beta = 1e4 with an intensity step of 0.2 already underflows exp to ~1e-174).
@@ -66,31 +65,6 @@ def edge_weight(g_i, g_j, beta: float):
     if w.ndim == 0:
         return float(w)
     return w
-
-
-def lattice_inputs(g: Volume3D, roi: Volume3D, beta: float):
-    """Validate a guidance image, roi and beta for a lattice over the roi.
-
-    Returns ``(intensity, inside, beta)``: the guidance and the roi as flat
-    x-fastest arrays, and beta as a float.
-
-    Raises
-    ------
-    DimMismatch, EmptyRoi, NonFiniteInput
-    """
-    if g.kind != "intensity":
-        raise ValueError(f"guidance must be an intensity volume, got {g.kind!r}")
-    if roi.kind != "mask":
-        raise ValueError(f"roi must be a mask volume, got {roi.kind!r}")
-    require_same_dims(g, roi)
-    beta = _check_beta(beta)
-    inside = roi.data.ravel(order="F")
-    intensity = g.data.ravel(order="F")
-    if not inside.any():
-        raise EmptyRoi("roi selects no voxels")
-    if not np.isfinite(intensity).all() and not np.isfinite(intensity[inside]).all():
-        raise NonFiniteInput("guidance image has non-finite values inside the roi")
-    return intensity, inside, beta
 
 
 def neighbor_voxels(voxels: np.ndarray, inside: np.ndarray, dims) -> np.ndarray:

@@ -65,7 +65,6 @@ _SUPPORTED_DTYPES = {
     DT_FLOAT32: np.dtype("<f4"),
     DT_UINT16: np.dtype("<u2"),
 }
-_BITPIX = {DT_UINT8: 8, DT_INT16: 16, DT_FLOAT32: 32, DT_UINT16: 16}
 
 _KIND_DATATYPE = {
     "intensity": DT_FLOAT32,
@@ -146,7 +145,7 @@ def _validate_header(hdr: NiftiHeader) -> None:
         raise UnsupportedDatatype(
             f"datatype code {hdr.datatype}; supported: {sorted(_SUPPORTED_DTYPES)}"
         )
-    if hdr.bitpix != _BITPIX[hdr.datatype]:
+    if hdr.bitpix != 8 * _SUPPORTED_DTYPES[hdr.datatype].itemsize:
         raise UnsupportedDatatype(
             f"bitpix {hdr.bitpix} inconsistent with datatype {hdr.datatype}"
         )
@@ -260,7 +259,7 @@ def write_volume(v: Volume3D, path) -> None:
         0.0, 0.0, 0.0,                    # intent_p1..p3
         0,                                # intent_code
         datatype,
-        _BITPIX[datatype],
+        8 * _SUPPORTED_DTYPES[datatype].itemsize,  # bitpix
         0,                                # slice_start
         1.0, sx, sy, sz, 0.0, 0.0, 0.0, 0.0,        # pixdim[8]
         float(DATA_OFFSET),               # vox_offset

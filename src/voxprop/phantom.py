@@ -123,7 +123,7 @@ def _validate(spec: PhantomSpec) -> None:
             raise BadSpec(f"blob label id must be positive, got {b.label_id}")
     try:
         spec.label_set()
-    except ValueError as exc:  # a repeated name, or an id beyond uint16
+    except ValueError as exc:  # a repeated or malformed name, or an id beyond uint16
         raise BadSpec(f"bad labels: {exc}") from exc
     for name, frac in (
         ("unlabeled_fraction", spec.unlabeled_fraction),

@@ -145,7 +145,10 @@ class LabelSet:
     """Ordered set of (label_id, name) pairs.
 
     Ids are unique, strictly positive, sorted ascending, and fit in uint16.
-    Names are unique. Id 0 is reserved for background and is never a member.
+    Id 0 is reserved for background and is never a member. Names are
+    unique, non-empty and free of leading or trailing whitespace, line
+    breaks, "/", "#" and NUL, so that each reads back unchanged from a
+    labelset file and can name an output file.
     """
 
     entries: tuple[tuple[int, str], ...]
@@ -162,6 +165,12 @@ class LabelSet:
         names = [n for _, n in entries]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate label names: {names}")
+        for n in names:
+            if n != n.strip() or len(n.splitlines()) != 1 or any(c in n for c in "/#\0"):
+                raise ValueError(
+                    f"label name {n!r} must be non-empty, without leading or trailing "
+                    "whitespace, line breaks, '/', '#' or NUL"
+                )
         if ids != sorted(ids):
             raise ValueError(f"label ids must be sorted ascending: {ids}")
         if ids[0] <= BACKGROUND_ID:

@@ -10,8 +10,8 @@ PUBLIC = (
     "IoFailure", "LabelSet", "LabelSolveStats", "MultiLabelAnnotation", "NiftiHeader",
     "NoSeeds", "NoSeedsInRoi", "NonFiniteInput", "OverlappingHemispheres",
     "PathCountMismatch", "Phantom", "PhantomBlob", "PhantomSpec", "ProbabilityField",
-    "PropagationRequest", "PropagationResult", "SeedlessComponent", "SolverConfig",
-    "TargetTooLarge", "TooFewMaps", "TruncatedFile", "UnsupportedDatatype", "Volume3D",
+    "PropagationRequest", "PropagationResult", "SeedlessComponent", "TargetTooLarge",
+    "TooFewMaps", "TruncatedFile", "UnsupportedDatatype", "Volume3D",
     "VoxpropError", "W_FLOOR", "argmax_labels", "assemble", "build_eval_mask",
     "center_crop", "dice", "dice_report", "edge_weight", "majority_vote", "make_phantom",
     "min_max_normalize", "propagate", "propagate_bilateral", "read_annotation",
@@ -21,7 +21,7 @@ PUBLIC = (
 
 REMOVED = (
     "LatticeGraph", "build_lattice", "connected_components", "solve_label",
-    "dense_reference_solve", "TooLarge",
+    "dense_reference_solve", "TooLarge", "SolverConfig",
 )
 
 

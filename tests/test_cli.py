@@ -140,6 +140,25 @@ class TestPropagateCommand:
         assert "duplicate label names" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_path_in_label_name_exits_2_before_writing(self, tmp_path, phantom_files, capsys):
+        labels = tmp_path / "bad.tsv"
+        labels.write_text("1\t../escaped_left\n2\tright\n")
+        out = tmp_path / "out"
+        code = run(
+            [
+                "propagate",
+                "--guidance", phantom_files["guidance"],
+                "--roi", phantom_files["roi"],
+                "--labels", labels,
+                "--annotation", *phantom_files["annotation"],
+                "--out", out,
+                "--soft",
+            ]
+        )
+        assert code == 2
+        assert "label name" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_nan_beta_exits_2(self, tmp_path, phantom_files, capsys):
         code = run(
             [
@@ -156,8 +175,13 @@ class TestPropagateCommand:
         assert "beta is nan" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "tol, message",
+        [("inf", "rel_tol is inf"), ("0", "rel_tol must be > 0"), ("-1e-8", "rel_tol must be > 0")],
+        ids=["inf", "zero", "negative"],
+    )
     def test_infinite_tol_exits_2_before_any_solve(
-        self, tmp_path, phantom_files, capsys, monkeypatch
+        self, tmp_path, phantom_files, capsys, monkeypatch, tol, message
     ):
         def no_solve(*args, **kwargs):
             raise AssertionError("solve_all ran")
@@ -171,11 +195,11 @@ class TestPropagateCommand:
                 "--labels", phantom_files["labels"],
                 "--annotation", *phantom_files["annotation"],
                 "--out", tmp_path / "out",
-                "--tol", "inf",
+                f"--tol={tol}",  # "--tol -1e-8" would parse -1e-8 as a flag
             ]
         )
         assert code == 2
-        assert "rel_tol is inf" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_policy_error_on_seedless_island_exits_3(self, tmp_path, capsys):
@@ -325,6 +349,24 @@ class TestEvaluateCommand:
         assert ".txt" in capsys.readouterr().err
         assert not out.parent.exists()
 
+    def test_path_in_label_name_exits_2_before_writing(self, tmp_path, phantom_files, capsys):
+        labels = tmp_path / "bad.tsv"
+        labels.write_text("1\t../escaped_left\n2\tright\n")
+        out = tmp_path / "eval" / "report.json"
+        code = run(
+            [
+                "evaluate",
+                "--pred", phantom_files["truth"],
+                "--target", phantom_files["truth"],
+                "--labels", labels,
+                "--roi", phantom_files["roi"],
+                "--out", out,
+            ]
+        )
+        assert code == 2
+        assert "label name" in capsys.readouterr().err
+        assert not out.parent.exists()
+
 
 class TestPhantomCommand:
     def test_deterministic_outputs(self, tmp_path):
@@ -415,6 +457,16 @@ class TestPhantomCommand:
         out = tmp_path / "out"
         assert run(["phantom", "--spec", spec_path, "--out", out]) == 2
         assert "duplicate" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["VL#2", " AN", "../escaped_AN", ""])
+    def test_malformed_label_name_exits_2(self, tmp_path, capsys, name):
+        spec = dict(SPEC_JSON, label_names={"1": name, "2": "right"})
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        out = tmp_path / "out"
+        assert run(["phantom", "--spec", spec_path, "--out", out]) == 2
+        assert "label name" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -6,9 +6,10 @@ import pytest
 from voxprop import (
     ConvergenceFailure,
     LabelSet,
+    MultiLabelAnnotation,
     NonFiniteInput,
     NoSeeds,
-    SolverConfig,
+    PropagationRequest,
     assemble,
     edge_weight,
     solve_all,
@@ -199,24 +200,41 @@ class TestSolveLabel:
             assert got.column(lab).shape == (2,)
             assert got.column(lab).tobytes() == ref.column(lab).tobytes()
 
-    def test_convergence_failure_reports_residual(self, pcg_route):
+    def test_convergence_failure_reports_residual(self, pcg_route, monkeypatch):
+        monkeypatch.setattr(dirichlet, "MAX_ITERS_CAP", 2)
         sys_ = assemble(*uniform_chain(40), {0: 1, 39: 2}, 0.0)
         with pytest.raises(ConvergenceFailure) as exc:
-            solve_all(sys_, SolverConfig(max_iters=2))
+            solve_all(sys_)
         assert exc.value.iterations == 2
         assert exc.value.residual is not None and exc.value.residual > 0
 
 
-class TestSolverConfig:
+class TestRelTol:
+    """`solve_all` and `PropagationRequest` reject the same rel_tol values."""
+
+    @staticmethod
+    def _checks():
+        sys_ = assemble(*uniform_chain(5), {0: 1, 4: 2}, 0.0)
+        g, roi = make_intensity(np.zeros((5, 1, 1))), full_mask((5, 1, 1))
+        masks = np.zeros((2, 5, 1, 1), dtype=bool)
+        masks[0, 0] = masks[1, 4] = True
+        ann = MultiLabelAnnotation(LabelSet.from_ids([1, 2]), masks)
+        return (
+            lambda rel_tol: solve_all(sys_, rel_tol=rel_tol),
+            lambda rel_tol: PropagationRequest(g, roi, ann, rel_tol=rel_tol),
+        )
+
     @pytest.mark.parametrize("rel_tol", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_rel_tol_rejected(self, rel_tol):
-        with pytest.raises(NonFiniteInput, match="rel_tol is"):
-            SolverConfig(rel_tol=rel_tol)
+        for check in self._checks():
+            with pytest.raises(NonFiniteInput, match="rel_tol is"):
+                check(rel_tol)
 
     @pytest.mark.parametrize("rel_tol", [0.0, -1e-8])
     def test_non_positive_rel_tol_rejected(self, rel_tol):
-        with pytest.raises(ValueError, match="rel_tol must be > 0"):
-            SolverConfig(rel_tol=rel_tol)
+        for check in self._checks():
+            with pytest.raises(ValueError, match="rel_tol must be > 0"):
+                check(rel_tol)
 
 
 class TestSolveAll:
@@ -265,8 +283,8 @@ class TestSolveAll:
         nodes = rng.choice(n_nodes, size=8, replace=False)
         seeds = {int(n): int(rng.integers(1, 3)) for n in nodes}
         sys_ = assemble(g, roi, seeds, 2.0)  # full roi: voxel = node
-        cfg = SolverConfig()
-        field = solve_all(sys_, cfg)
+        rel_tol = 1e-8
+        field = solve_all(sys_, rel_tol)
         ei, ej, w = (np.array(col) for col in zip(*edges))
         deg = np.bincount(ei, w, n_nodes) + np.bincount(ej, w, n_nodes)
         unseeded = sys_.unseeded
@@ -277,7 +295,7 @@ class TestSolveAll:
             weighted = np.bincount(ei, w * x[ej], n_nodes)
             weighted += np.bincount(ej, w * x[ei], n_nodes)
             avg = weighted / deg
-            tol = 10 * cfg.rel_tol * max(np.abs(x).max(), 1.0)
+            tol = 10 * rel_tol * max(np.abs(x).max(), 1.0)
             assert np.abs(x[unseeded] - avg[unseeded]).max() <= tol
 
     def test_label_permutation_equivariance(self, rng):
@@ -459,7 +477,7 @@ class TestReducedRoute:
         seeds = {int(n): int(1 + k % 4) for k, n in enumerate(nodes)}
         labels = LabelSet.from_ids([1, 2, 3, 4])
         sys_ = assemble(make_intensity(intensity), full_mask(dims), seeds, 5.0, labels)
-        field = solve_all(sys_, SolverConfig(rel_tol=rel_tol))
+        field = solve_all(sys_, rel_tol=rel_tol)
         d = sys_.L_U.diagonal()
         for k, stats in enumerate(field.stats[:-1]):
             b = -(sys_.B @ (sys_.seed_labels == stats.label_id).astype(float))
@@ -533,7 +551,7 @@ def test_white_noise_beta1e4_conditioning_limit(rng, pcg_route):
     g = make_intensity(rng.random(dims))
     seeds = {0: 1, g.n_voxels - 1: 2}
     sys_ = assemble(g, full_mask(dims), seeds, 1e4)
-    it = solve_all(sys_, SolverConfig(max_iters=100_000))
+    it = solve_all(sys_)
     gap = np.abs(it.values - dense_reference_solve(sys_)).max()
     assert gap < 1e-2  # loose by necessity; see docstring
 

@@ -154,9 +154,13 @@ class TestValidation:
             {"noise_sigma": float("nan")},
             {"label_names": {1: "A", 2: "A"}},
             {"label_names": {1: "blob2"}},
+            {"label_names": {1: "VL#2"}},
+            {"label_names": {1: " AN"}},
+            {"label_names": {1: "../escaped_AN"}},
         ],
         ids=["zero-spacing", "negative-spacing", "nan-spacing", "two-spacings",
-             "negative-seed", "nan-noise", "duplicate-names", "name-of-unnamed-label"],
+             "negative-seed", "nan-noise", "duplicate-names", "name-of-unnamed-label",
+             "comment-in-name", "padded-name", "path-in-name"],
     )
     def test_malformed_spec_raises_bad_spec(self, kw):
         with pytest.raises(BadSpec):

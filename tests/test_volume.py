@@ -1,5 +1,10 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from voxprop import (
     BACKGROUND_ID,
@@ -97,6 +102,26 @@ class TestLabelSet:
             LabelSet(((0, "bg"),))
         with pytest.raises(ValueError):
             LabelSet(())
+
+    @pytest.mark.parametrize(
+        "name",
+        ["", " AN", "AN ", "VL#2", "../escaped_AN", "a/b", "a\0b", "a\rb", "a\nb", "a\x0bb"],
+    )
+    def test_malformed_name_rejected(self, name):
+        with pytest.raises(ValueError, match="label name"):
+            LabelSet(((1, "ok"), (2, name)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(names=st.lists(st.text(max_size=8), min_size=1, max_size=4, unique=True))
+    def test_accepted_names_survive_the_file(self, names):
+        try:
+            labels = LabelSet(tuple(enumerate(names, start=1)))
+        except ValueError:
+            return
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "labels.tsv"
+            write_labelset(labels, path)
+            assert read_labelset(path).names == labels.names
 
     def test_lookup(self):
         labels = LabelSet(((2, "MD"), (5, "CL")))
