@@ -88,7 +88,6 @@ _EXPORTS = {
         "LabelSet",
         "MultiLabelAnnotation",
         "Volume3D",
-        "argmax_labels",
         "center_crop",
         "min_max_normalize",
         "read_labelset",

@@ -33,7 +33,7 @@ def _fail(msg: str, code: int) -> int:
 
 def cmd_propagate(args) -> int:
     # the solver stack (scipy) loads here only: the other commands need numpy alone
-    from .propagate import PropagationRequest, propagate
+    from .propagate import PropagationRequest, _propagate_roi
 
     labels = read_labelset(args.labels)
     guidance = nifti.read_volume(args.guidance, "intensity")
@@ -47,15 +47,17 @@ def cmd_propagate(args) -> int:
         rel_tol=args.tol,
         seedless_policy=args.policy,
     )
-    result = propagate(req)
+    soft_volume, hard, report = _propagate_roi(req)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    nifti.write_volume(result.hard, out / "hard.nii")
+    nifti.write_volume(hard, out / "hard.nii")
     if args.soft:
-        for name, vol in zip(labels.names, result.soft):
-            nifti.write_volume(vol, out / f"prob_{name}.nii")
-    (out / "report.json").write_text(json.dumps(result.report, indent=2) + "\n")
+        # each volume is built for its write and dropped after it, so one
+        # float64 volume is alive at a time instead of one per label
+        for k, name in enumerate(labels.names):
+            nifti.write_volume(soft_volume(k), out / f"prob_{name}.nii")
+    (out / "report.json").write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {out / 'hard.nii'}")
     return EXIT_OK
 

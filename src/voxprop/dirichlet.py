@@ -45,6 +45,23 @@ The back-substitution leaves the e rows with no residual, so the full
 system's Jacobi residual ||D^-1 (b - L_U x)|| is ||r_o / d_o||: the
 stopping rule of `solve_all` (its `rel_tol`) is tested on that, and a
 label's reported iterations count steps of CG on S.
+
+The CG is deflated by islands (Saad, Yeung, Erhel & Guyomarc'h, SIAM J.
+Sci. Comput. 2000). Edges of weight at most `ISLAND_TAU` cut L_U's graph
+into islands, the components of the strong edges; where intensity jumps,
+nearly all weight sits inside the islands, the solution is nearly
+constant on each, and the near-null modes that slow plain CG (a strongly
+coupled cluster anchored through floored edges alone) are island
+indicators. With Z the indicators restricted to the o colour (one column
+per island that holds an o node) and E = Z^T S Z factored once per
+system, each label starts from x_0 = Z E^-1 Z^T b and every
+preconditioned residual is projected, z <- z - Z E^-1 (S Z)^T z, so CG
+runs on the complement of the island space. The number of islands is
+reported as `ProbabilityField.n_islands`.
+
+The solvers return one column per label; `voxprop.propagate` scatters
+them into soft volumes one label at a time, as each is needed, so the CLI
+writer holds one volume at a time.
 """
 
 from __future__ import annotations
@@ -55,7 +72,7 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import SuperLU, splu
 
 from .errors import ConvergenceFailure, EmptyRoi, NonFiniteInput, NoSeeds
 from .lattice import _check_beta, _weights, block_ids, neighbor_voxels, voxel_parity
@@ -78,6 +95,11 @@ PROB_HARD_LIMIT = 1e-4
 #: of a 73k-node lattice block added about 100 MB of resident memory, where
 #: PCG needs a few vectors.
 DIRECT_BLOCK_LIMIT = 4096
+
+#: Edge weight at or below which an edge joins two islands of the deflated
+#: PCG instead of lying inside one. Far above `lattice.W_FLOOR`, so floored
+#: edges always cut; far below the weights inside a smooth region.
+ISLAND_TAU = 1e-3
 
 
 def _check_rel_tol(rel_tol: float) -> float:
@@ -151,7 +173,8 @@ class ProbabilityField:
     no row. Rows sum to 1 and lie in [0, 1] up to solver tolerance
     (clamped). `route` names the solver that `solve_all` took: "direct" or
     "pcg". `direct_error` names the sparse LU failure that sent a direct
-    solve to PCG, and is None otherwise.
+    solve to PCG, and is None otherwise. `n_islands` is the number of
+    islands that deflated the PCG, 0 on the direct route.
     """
 
     values: np.ndarray  # float64 (n_unseeded, m)
@@ -159,6 +182,7 @@ class ProbabilityField:
     stats: tuple[LabelSolveStats, ...] = field(default=())
     route: str | None = None
     direct_error: str | None = None
+    n_islands: int = 0
 
     def __post_init__(self):
         self.values.setflags(write=False)
@@ -344,10 +368,12 @@ def assemble(
 
 
 class _Reduction(NamedTuple):
-    """L_U = [[D_e, -W], [-W^T, D_o]] split by colour, for CG on S.
+    """L_U = [[D_e, -W], [-W^T, D_o]] split by colour, for deflated CG on S.
 
     `e` (the larger colour) and `o` are rows of L_U, and W is -L_U[e, o].
     `e_inv` is 1 / diag(D_e), `d_o` is diag(D_o) and `s_inv` is 1 / diag(S).
+    `island[i]` is the column of Z holding o node i, `SZ` is S Z and `E`
+    the LU factors of Z^T S Z.
     """
 
     e: np.ndarray
@@ -356,35 +382,57 @@ class _Reduction(NamedTuple):
     e_inv: np.ndarray
     d_o: np.ndarray
     s_inv: np.ndarray
+    island: np.ndarray
+    SZ: sp.csr_matrix
+    E: SuperLU
+
+    @property
+    def n_islands(self) -> int:
+        return self.E.shape[0]
 
 
 def _reduce(sys: DirichletSystem) -> _Reduction:
-    """Colour split of L_U; W is the e-by-o block of -L_U, S never formed."""
+    """Colour split of L_U and its island space; S is never formed.
+
+    Every U-U edge joins e to o, so W holds each one once: its entries
+    above `ISLAND_TAU` are the strong edges whose components are islands.
+    """
     L = sys.L_U
     in_e = sys.odd if 2 * np.count_nonzero(sys.odd) > sys.odd.size else ~sys.odd
     e, o = np.flatnonzero(in_e), np.flatnonzero(~in_e)
     W = -L[e][:, o]
     diag = L.diagonal()
     e_inv = 1.0 / diag[e]
-    s_diag = diag[o] - np.bincount(
-        W.indices, W.data**2 * np.repeat(e_inv, np.diff(W.indptr)), minlength=o.size
-    )
-    return _Reduction(e, o, W, e_inv, diag[o], 1.0 / s_diag)
+    e_of = np.repeat(np.arange(e.size), np.diff(W.indptr))
+    s_diag = diag[o] - np.bincount(W.indices, W.data**2 * e_inv[e_of], minlength=o.size)
+
+    strong = W.data > ISLAND_TAU
+    block = block_ids(e.size + o.size, e_of[strong], e.size + W.indices[strong])
+    _, island = np.unique(block[e.size:], return_inverse=True)  # drops islands without o
+    Z = sp.csr_matrix((np.ones(o.size), island, np.arange(o.size + 1)),
+                      shape=(o.size, island.max(initial=-1) + 1))
+    SZ = (sp.diags(diag[o]) @ Z - W.T @ (sp.diags(e_inv) @ (W @ Z))).tocsr()
+    E = splu((Z.T @ SZ).tocsc(), permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
+    return _Reduction(e, o, W, e_inv, diag[o], 1.0 / s_diag, island, SZ, E)
 
 
 def _pcg(red: _Reduction, b, scale, rel_tol, iter_cap):
-    """Jacobi-preconditioned CG on S x = b; returns (x, iterations, residual).
+    """Deflated Jacobi-preconditioned CG on S x = b; returns (x, iterations, residual).
 
-    r = b - S x is the residual that the full system has in the o rows after
-    back-substitution, so the residual is ||r / d_o|| / scale; the loop stops
-    once it is <= rel_tol.
+    x starts as Z E^-1 Z^T b, which leaves Z^T r = 0, and each
+    preconditioned residual loses its part in the island space before it
+    extends the search direction. r = b - S x is the residual that the full
+    system has in the o rows after back-substitution, so the residual is
+    ||r / d_o|| / scale; the loop stops once it is <= rel_tol.
     """
-    W, Wt = red.W, red.W.T
-    x = np.zeros_like(b)
-    r = b.copy()
+    W, Wt, SZt = red.W, red.W.T, red.SZ.T
+    y = red.E.solve(np.bincount(red.island, b, minlength=red.n_islands))
+    x = y[red.island]
+    r = b - red.SZ @ y
     z = red.s_inv * r
-    p = z.copy()
     rz = float(r @ z)
+    z -= red.E.solve(SZt @ z)[red.island]
+    p = z.copy()
     stop = rel_tol * scale
     res = np.linalg.norm(r / red.d_o)
     iters = 0
@@ -405,6 +453,7 @@ def _pcg(red: _Reduction, b, scale, rel_tol, iter_cap):
         r -= alpha * Sp
         np.multiply(red.s_inv, r, out=z)
         rz_new = float(r @ z)
+        z -= red.E.solve(SZt @ z)[red.island]
         p *= rz_new / rz
         p += z
         rz = rz_new
@@ -450,12 +499,13 @@ def solve_all(sys: DirichletSystem, rel_tol: float = 1e-8) -> ProbabilityField:
     one sparse LU factorization of L_U solves all m labels (route
     "direct"); if the factorization fails, the PCG route runs instead and
     `direct_error` says why. The PCG route eliminates the larger colour of
-    the lattice once, then solves m - 1 labels one after another by CG on
-    the reduced system S, whose steps are the labels' reported iterations,
-    and closes the simplex by assigning the remaining mass to the largest
-    label id. Tiny negative drift is clamped to [0, 1]; rows whose sum moved
-    more than 1e-6 from 1 are renormalized (logged). Drift beyond 1e-4
-    raises: that indicates a misconfigured solve, not roundoff.
+    the lattice once and factors the island space once, then solves m - 1
+    labels one after another by island-deflated CG on the reduced system S,
+    whose steps are the labels' reported iterations, and closes the simplex
+    by assigning the remaining mass to the largest label id. Tiny negative
+    drift is clamped to [0, 1]; rows whose sum moved more than 1e-6 from 1
+    are renormalized (logged). Drift beyond 1e-4 raises: that indicates a
+    misconfigured solve, not roundoff.
 
     A label's CG stops once ``||D^-1 (b - L_U x)|| <= rel_tol * ||D^-1 b||``,
     D the diagonal of L_U: the Jacobi-preconditioned residual of the full
@@ -482,13 +532,16 @@ def solve_all(sys: DirichletSystem, rel_tol: float = 1e-8) -> ProbabilityField:
             return ProbabilityField(values, label_ids, stats, "direct")
 
     head = label_ids[:-1] if sys.n_unseeded else ()
-    red = _reduce(sys) if head else None
+    # made before the reduction: made after its freed temporaries, it landed
+    # on fresh pages and raised sparse-seeds peak RSS by 3 MB
     values = np.empty((sys.n_unseeded, len(label_ids)))
+    red = _reduce(sys) if head else None
     stats = [_solve_one(sys, red, lab, rel_tol, values[:, k]) for k, lab in enumerate(head)]
     values[:, -1] = 1.0 - values[:, :-1].sum(axis=1)
     stats += [LabelSolveStats(lab, 0, 0.0, closure=True) for lab in label_ids[len(head):]]
     _finalize_probabilities(values)
-    return ProbabilityField(values, label_ids, tuple(stats), "pcg", direct_error)
+    n_islands = red.n_islands if red is not None else 0
+    return ProbabilityField(values, label_ids, tuple(stats), "pcg", direct_error, n_islands)
 
 
 def _solve_direct(sys: DirichletSystem) -> np.ndarray:

@@ -102,8 +102,9 @@ def block_ids(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     Ids are ordered by each component's minimal node: component 0 contains
     node 0, the next component met scanning node ids upward gets 1, and so on.
     """
-    adj = sp.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
-    _, raw = _cc(adj.tocsr(), directed=False)
+    # the COO form is freed before the search, which makes its own transpose
+    adj = sp.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n)).tocsr()
+    _, raw = _cc(adj, directed=False)
     _, first = np.unique(raw, return_index=True)
     order = np.empty(len(first), dtype=np.int64)
     order[np.argsort(first)] = np.arange(len(first))

@@ -149,8 +149,10 @@ def _propagate(req: PropagationRequest, regions: tuple[Volume3D, ...], where: st
     takes the label of its region's nearest seed and a gap voxel that of
     the nearest seed of any region, both measured with the roi's spacing.
 
-    Returns the soft volumes, the hard map, one report per region, and the
-    run's seed and gap counts.
+    Returns a builder of the soft volumes, the hard map, one report per
+    region, and the run's seed and gap counts. The builder makes label
+    column k's probability volume each time it is called, so a caller that
+    writes each volume before building the next holds one at a time.
     """
     labels, roi = req.annotation.labels, req.roi
     seeds_vol, conflict_vol = strip_conflicts(req.annotation)
@@ -214,6 +216,7 @@ def _propagate(req: PropagationRequest, regions: tuple[Volume3D, ...], where: st
             "largest_block": system.largest_block,
             "route": field_.route,
             "direct_error": field_.direct_error,
+            "n_islands": field_.n_islands,
             "seedless_components": list(system.seedless_components),
             "n_seedless_voxels": int(pockets.size),
             "n_policy_filled": int(pockets.size) if fill else 0,
@@ -242,15 +245,16 @@ def _propagate(req: PropagationRequest, regions: tuple[Volume3D, ...], where: st
         hard[voxels] = ids[np.argmax(values, axis=1)]
     for voxels, cols in fills:
         hard[voxels] = ids[cols]
-    soft = []
-    for k in range(len(labels)):
+
+    def soft_volume(k: int) -> Volume3D:
         flat = np.zeros(roi.n_voxels)
         for voxels, values in solved:
             flat[voxels] = values[:, k]
         for voxels, cols in fills:
             flat[voxels[cols == k]] = 1.0
-        soft.append(_volume(flat, roi, "probability"))
-    return tuple(soft), _volume(hard, roi, "label"), reports, run
+        return _volume(flat, roi, "probability")
+
+    return soft_volume, _volume(hard, roi, "label"), reports, run
 
 
 def _volume(flat: np.ndarray, like: Volume3D, kind) -> Volume3D:
@@ -272,9 +276,15 @@ def propagate(req: PropagationRequest, workers: int = 1) -> PropagationResult:
         Under ``seedless_policy="error"`` when an unseeded block has no edge
         to a seed.
     """
-    soft, hard, (region,), run = _propagate(req, (req.roi,), "roi")
-    report = {"n_seeds_outside_roi": run["n_seeds_outside_roi"], **region}
+    soft_volume, hard, report = _propagate_roi(req)
+    soft = tuple(soft_volume(k) for k in range(len(req.annotation.labels)))
     return PropagationResult(req.annotation.labels, soft, hard, report)
+
+
+def _propagate_roi(req: PropagationRequest):
+    """`propagate`'s soft-volume builder, hard map and report."""
+    soft_volume, hard, (region,), run = _propagate(req, (req.roi,), "roi")
+    return soft_volume, hard, {"n_seeds_outside_roi": run["n_seeds_outside_roi"], **region}
 
 
 def propagate_bilateral(
@@ -311,7 +321,8 @@ def propagate_bilateral(
     if (union & ~req.roi.data).any():
         raise ValueError("hemisphere masks extend outside the roi")
 
-    soft, hard, halves, run = _propagate(req, (left, right), "hemisphere masks")
+    soft_volume, hard, halves, run = _propagate(req, (left, right), "hemisphere masks")
+    soft = tuple(soft_volume(k) for k in range(len(req.annotation.labels)))
     report = {
         "mode": "bilateral",
         "hemispheres": halves,

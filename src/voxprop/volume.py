@@ -360,39 +360,3 @@ def strip_conflicts(a: MultiLabelAnnotation) -> tuple[Volume3D, Volume3D]:
         Volume3D(seeds, "label", a.spacing, a.origin),
         Volume3D(conflicts, "mask", a.spacing, a.origin),
     )
-
-
-def argmax_labels(
-    probs: Sequence[Volume3D] | np.ndarray,
-    labels: LabelSet,
-    roi: Volume3D,
-) -> Volume3D:
-    """Hard labels from per-label probability volumes.
-
-    Each roi voxel receives the label with the highest probability; exact
-    ties go to the smallest label id. Voxels outside the roi are background.
-
-    Parameters
-    ----------
-    probs : sequence of Volume3D[probability] or array (m, nx, ny, nz)
-        One probability volume per label, ordered like `labels`.
-    """
-    if roi.kind != "mask":
-        raise ValueError(f"roi must be a mask volume, got {roi.kind!r}")
-    if isinstance(probs, np.ndarray):
-        stack = np.asarray(probs, dtype=np.float64)
-    else:
-        for p in probs:
-            require_same_dims(p, roi)
-        stack = np.stack([p.data for p in probs])
-    if stack.ndim != 4 or stack.shape[0] != len(labels):
-        raise ValueError(
-            f"need one probability volume per label ({len(labels)}), "
-            f"got shape {stack.shape}"
-        )
-    if stack.shape[1:] != roi.dims:
-        raise DimMismatch(f"probability dims {stack.shape[1:]} vs roi {roi.dims}")
-    ids = np.asarray(labels.ids, dtype=np.uint16)
-    best = ids[np.argmax(stack, axis=0)]  # argmax takes the first (smallest id) on ties
-    hard = np.where(roi.data, best, BACKGROUND_ID).astype(np.uint16)
-    return Volume3D(hard, "label", roi.spacing, roi.origin)

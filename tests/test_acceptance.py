@@ -23,6 +23,7 @@ from voxprop import (
     propagate,
     read_volume,
     solve_all,
+    strip_conflicts,
     write_volume,
 )
 from voxprop import dirichlet
@@ -36,6 +37,7 @@ from helpers import (
     dense_reference_solve,
     edge_components,
     mc_absorption_frequencies,
+    sparse_reference_solve,
 )
 
 
@@ -189,6 +191,25 @@ def test_oracle_equivalence(monkeypatch):
     _pass(
         f"oracle equivalence ({n_lattices} lattices, worst diff direct "
         f"{worst['direct']:.2e}, pcg {worst['pcg']:.2e}, {elapsed:.1f}s)"
+    )
+
+
+def test_large_lattice_oracle(phantom13, pcg_route):
+    """Oracle equivalence at the acceptance-phantom size: PCG on the 13-blob
+    phantom's own system (75k unseeded voxels, 73k of them in one block)
+    against a sparse LU of the same L_U, every label, closure included, to
+    the same 1e-6."""
+    seeds = strip_conflicts(phantom13.annotation)[0].data.ravel(order="F")
+    voxels = np.flatnonzero((seeds > 0) & phantom13.roi.data.ravel(order="F"))
+    sys_ = assemble(phantom13.guidance, phantom13.roi, (voxels, seeds[voxels]),
+                    10_000.0, phantom13.labels)
+    field = solve_all(sys_)
+    assert field.route == "pcg"
+    gap = float(np.abs(field.values - sparse_reference_solve(sys_)).max())
+    assert gap <= 1e-6, f"PCG vs sparse LU: diff {gap:.3e}"
+    _pass(
+        f"large-lattice oracle ({sys_.n_unseeded} unseeded, {field.n_islands} islands, "
+        f"diff {gap:.2e})"
     )
 
 

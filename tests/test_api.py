@@ -12,7 +12,7 @@ PUBLIC = (
     "PathCountMismatch", "Phantom", "PhantomBlob", "PhantomSpec", "ProbabilityField",
     "PropagationRequest", "PropagationResult", "SeedlessComponent", "TargetTooLarge",
     "TooFewMaps", "TruncatedFile", "UnsupportedDatatype", "Volume3D",
-    "VoxpropError", "W_FLOOR", "argmax_labels", "assemble", "build_eval_mask",
+    "VoxpropError", "W_FLOOR", "assemble", "build_eval_mask",
     "center_crop", "dice", "dice_report", "edge_weight", "majority_vote", "make_phantom",
     "min_max_normalize", "propagate", "propagate_bilateral", "read_annotation",
     "read_header", "read_labelset", "read_volume", "solve_all", "strip_conflicts",
@@ -21,7 +21,7 @@ PUBLIC = (
 
 REMOVED = (
     "LatticeGraph", "build_lattice", "connected_components", "solve_label",
-    "dense_reference_solve", "TooLarge", "SolverConfig",
+    "dense_reference_solve", "TooLarge", "SolverConfig", "argmax_labels",
 )
 
 

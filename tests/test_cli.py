@@ -4,6 +4,7 @@ import os
 import struct
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -11,12 +12,18 @@ import pytest
 
 from voxprop import (
     LabelSet,
+    PropagationRequest,
     Volume3D,
+    nifti,
+    propagate,
+    read_annotation,
+    read_labelset,
     read_volume,
     write_labelset,
     write_volume,
 )
 from voxprop.cli import main
+from voxprop.nifti import DATA_OFFSET
 from voxprop.phantom import PhantomSpec, make_phantom
 
 
@@ -108,6 +115,46 @@ class TestPropagateCommand:
         inside = phantom_files["phantom"].roi.data
         sums = left.data[inside] + right.data[inside]
         assert np.abs(sums - 1.0).max() < 1e-5  # float32 file round-off
+
+    def _propagate_soft_argv(self, phantom_files, out):
+        return [
+            "propagate",
+            "--guidance", phantom_files["guidance"],
+            "--roi", phantom_files["roi"],
+            "--labels", phantom_files["labels"],
+            "--annotation", *phantom_files["annotation"],
+            "--out", out,
+            "--soft",
+        ]
+
+    def test_soft_files_hold_the_library_soft_volumes(self, tmp_path, phantom_files):
+        out = tmp_path / "out"
+        assert run(self._propagate_soft_argv(phantom_files, out)) == 0
+        labels = read_labelset(phantom_files["labels"])
+        res = propagate(PropagationRequest(
+            guidance=read_volume(phantom_files["guidance"], "intensity"),
+            roi=read_volume(phantom_files["roi"], "mask"),
+            annotation=read_annotation(phantom_files["annotation"], labels),
+        ))
+        for name, vol in zip(labels.names, res.soft):
+            payload = (out / f"prob_{name}.nii").read_bytes()[DATA_OFFSET:]
+            assert payload == vol.data.astype("<f4").tobytes(order="F")  # float32 on disk
+        assert read_volume(out / "hard.nii", "label").data.tobytes() == res.hard.data.tobytes()
+        assert json.loads((out / "report.json").read_text()) == res.report
+
+    def test_soft_volumes_are_written_one_at_a_time(self, tmp_path, phantom_files, monkeypatch):
+        # each probability volume must be gone before the next is written
+        write, written = nifti.write_volume, []
+
+        def checked_write(vol, path):
+            if vol.kind == "probability":
+                assert all(ref() is None for ref in written), "two soft volumes alive at once"
+                written.append(weakref.ref(vol))
+            write(vol, path)
+
+        monkeypatch.setattr(nifti, "write_volume", checked_write)
+        assert run(self._propagate_soft_argv(phantom_files, tmp_path / "out")) == 0
+        assert len(written) == len(LABELS)
 
     def test_missing_roi_flag_exits_2(self, tmp_path, phantom_files, capsys):
         code = run(

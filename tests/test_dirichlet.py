@@ -10,6 +10,7 @@ from voxprop import (
     NonFiniteInput,
     NoSeeds,
     PropagationRequest,
+    W_FLOOR,
     assemble,
     edge_weight,
     solve_all,
@@ -161,11 +162,13 @@ class TestSolveLabel:
         assert x[0] == pytest.approx(ref[1, 0], abs=1e-9)
 
     def test_label_with_no_seeds_returns_zero_without_iterating(self, pcg_route):
-        # label 2 is a head label (the last one, 3, is closure) with no seeds
+        # label 2 is a head label (the last one, 3, is closure) with no seeds;
+        # with two o nodes the island space misses the linear solution, so
+        # label 1 has to iterate
         labels = LabelSet.from_ids([1, 2, 3])
-        sys_ = assemble(*uniform_chain(4), {0: 1, 3: 3}, 0.0, labels)
+        sys_ = assemble(*uniform_chain(6), {0: 1, 5: 3}, 0.0, labels)
         field = solve_all(sys_)
-        assert np.array_equal(field.column(2), np.zeros(2))
+        assert np.array_equal(field.column(2), np.zeros(4))
         assert field.stats[1].label_id == 2 and field.stats[1].iterations == 0
         assert field.stats[0].iterations > 0
 
@@ -393,6 +396,7 @@ class TestSolveAll:
             sys_ = assemble(make_intensity(intensity), make_mask(roi), seeds, beta, labels)
             field = solve_all(sys_)
             assert field.route == "direct" and field.direct_error is None
+            assert field.n_islands == 0
             assert all(s.iterations == 0 and not s.closure for s in field.stats)
             assert np.abs(field.values - dense_reference_solve(sys_)).max() <= 1e-12
             assert np.abs(field.values.sum(axis=1) - 1.0).max() <= 1e-12
@@ -556,10 +560,10 @@ def test_white_noise_beta1e4_conditioning_limit(rng, pcg_route):
     assert gap < 1e-2  # loose by necessity; see docstring
 
 
-def _floored_cluster_system():
-    # a 4x2x2 roi with white-noise guidance at beta 50: three nodes reach
-    # their only seed (label 2) through floored edges alone
-    rng = np.random.default_rng(1821)
+def _floored_cluster_system(seed=1821):
+    # a 4x2x2 roi with white-noise guidance at beta 50; at seed 1821 three
+    # nodes reach their only seed (label 2) through floored edges alone
+    rng = np.random.default_rng(seed)
     dims = (4, 2, 2)
     g = make_intensity(rng.random(dims))
     k = rng.integers(2, 5)
@@ -576,14 +580,26 @@ def test_floored_cluster_stops_early_white_noise_beta50():
     assert gap <= 1e-6  # the oracle tolerance of test_oracle_equivalence
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=ConvergenceFailure,
-    reason="reduced PCG on the floored cluster ends 1.874e-4 outside [0, 1], "
-    "and _finalize_probabilities rejects a violation over PROB_HARD_LIMIT "
-    "(1e-4) (ROADMAP item 1)",
-)
 def test_floored_cluster_stops_early_white_noise_beta50_pcg(pcg_route):
     sys_ = _floored_cluster_system()
     gap = np.abs(solve_all(sys_).values - dense_reference_solve(sys_)).max()
     assert gap <= 1e-6  # the oracle tolerance of test_oracle_equivalence
+
+
+def test_island_tau_cuts_the_floored_edges(pcg_route, monkeypatch):
+    """ISLAND_TAU stays 1e-3. On this system the U-U weights below it run
+    from the 1e-10 floor to 3.9e-4, those above it from 1.8e-3, and the cut
+    leaves 2 islands. A tau below W_FLOOR cuts no edge, so the one block is
+    one island; its constant cannot hold the modes of the clusters behind
+    the weak edges, and CG meets rel_tol while still about 1e-2 off."""
+    assert dirichlet.ISLAND_TAU == 1e-3
+    sys_ = _floored_cluster_system(546)
+    ref = dense_reference_solve(sys_)
+    field = solve_all(sys_)
+    assert field.n_islands == 2
+    assert np.abs(field.values - ref).max() <= 1e-6
+    monkeypatch.setattr(dirichlet, "ISLAND_TAU", W_FLOOR / 2)
+    field = solve_all(sys_)
+    assert field.n_islands == sys_.n_blocks == 1
+    assert all(s.residual <= 1e-8 for s in field.stats)
+    assert np.abs(field.values - ref).max() > 1e-3

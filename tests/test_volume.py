@@ -15,7 +15,6 @@ from voxprop import (
     NonFiniteInput,
     TargetTooLarge,
     Volume3D,
-    argmax_labels,
     center_crop,
     min_max_normalize,
     read_labelset,
@@ -24,6 +23,7 @@ from voxprop import (
 )
 
 from conftest import annotation_from_sets, full_mask, make_intensity, make_mask
+from helpers import argmax_labels
 
 
 class TestVolume3D:
