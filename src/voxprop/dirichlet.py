@@ -287,8 +287,9 @@ def assemble(
     if not inside[seed_voxels].all():
         raise ValueError("seed voxels must lie inside the roi")
     if labels is not None:
-        stray = np.setdiff1d(seed_labels, np.asarray(labels.ids))
-        if stray.size:
+        known = np.isin(seed_labels, labels.ids)
+        if not known.all():
+            stray = np.unique(seed_labels[~known])
             raise ValueError(f"seed labels {stray.tolist()} not in label set")
         label_ids = labels.ids
     else:
@@ -372,8 +373,9 @@ class _Reduction(NamedTuple):
 
     `e` (the larger colour) and `o` are rows of L_U, and W is -L_U[e, o].
     `e_inv` is 1 / diag(D_e), `d_o` is diag(D_o) and `s_inv` is 1 / diag(S).
-    `island[i]` is the column of Z holding o node i, `SZ` is S Z and `E`
-    the LU factors of Z^T S Z.
+    `island[i]` is the column of Z holding o node i, `SZt` is (S Z)^T, stored
+    as CSR for the product that every CG step takes with it, and `E` the LU
+    factors of Z^T S Z.
     """
 
     e: np.ndarray
@@ -383,7 +385,7 @@ class _Reduction(NamedTuple):
     d_o: np.ndarray
     s_inv: np.ndarray
     island: np.ndarray
-    SZ: sp.csr_matrix
+    SZt: sp.csr_matrix
     E: SuperLU
 
     @property
@@ -413,7 +415,7 @@ def _reduce(sys: DirichletSystem) -> _Reduction:
                       shape=(o.size, island.max(initial=-1) + 1))
     SZ = (sp.diags(diag[o]) @ Z - W.T @ (sp.diags(e_inv) @ (W @ Z))).tocsr()
     E = splu((Z.T @ SZ).tocsc(), permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
-    return _Reduction(e, o, W, e_inv, diag[o], 1.0 / s_diag, island, SZ, E)
+    return _Reduction(e, o, W, e_inv, diag[o], 1.0 / s_diag, island, SZ.T.tocsr(), E)
 
 
 def _pcg(red: _Reduction, b, scale, rel_tol, iter_cap):
@@ -425,10 +427,10 @@ def _pcg(red: _Reduction, b, scale, rel_tol, iter_cap):
     system has in the o rows after back-substitution, so the residual is
     ||r / d_o|| / scale; the loop stops once it is <= rel_tol.
     """
-    W, Wt, SZt = red.W, red.W.T, red.SZ.T
+    W, Wt, SZt = red.W, red.W.T, red.SZt
     y = red.E.solve(np.bincount(red.island, b, minlength=red.n_islands))
     x = y[red.island]
-    r = b - red.SZ @ y
+    r = b - SZt.T @ y
     z = red.s_inv * r
     rz = float(r @ z)
     z -= red.E.solve(SZt @ z)[red.island]

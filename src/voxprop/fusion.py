@@ -21,6 +21,7 @@ from .volume import (
     LabelSet,
     MultiLabelAnnotation,
     Volume3D,
+    _label_counts,
     require_same_dims,
 )
 
@@ -47,8 +48,8 @@ def majority_vote(maps: Sequence[Volume3D], roi: Volume3D) -> Volume3D:
     require_same_dims(*maps, roi)
 
     stack = np.stack([v.data for v in maps])
-    best_count = np.zeros(roi.dims, dtype=np.int32)
-    best_label = np.zeros(roi.dims, dtype=np.uint16)
+    best_count = np.zeros_like(roi.data, dtype=np.int32)  # x-fastest, like the maps
+    best_label = np.zeros_like(roi.data, dtype=np.uint16)
     for lab in np.unique(stack):  # ascending: strict > keeps the smallest id on ties
         count = (stack == lab).sum(axis=0, dtype=np.int32)
         wins = count > best_count
@@ -79,7 +80,7 @@ def build_eval_mask(annotation: MultiLabelAnnotation, roi: Volume3D) -> Volume3D
     """Roi restricted to unambiguous voxels (annotation set size <= 1)."""
     if annotation.dims != roi.dims:
         raise DimMismatch(f"annotation {annotation.dims} vs roi {roi.dims}")
-    mask = roi.data & (annotation.label_counts() <= 1)
+    mask = roi.data & (_label_counts(annotation) <= 1)
     return Volume3D(mask, "mask", roi.spacing, roi.origin)
 
 

@@ -160,8 +160,10 @@ def make_phantom(spec: PhantomSpec) -> Phantom:
     rng = np.random.default_rng(spec.seed)
     nx, ny, nz = spec.dims
     labels = spec.label_set()
-    # open grids: each sum below broadcasts to the same floats as a meshgrid
-    X, Y, Z = np.ogrid[0.0:nx, 0.0:ny, 0.0:nz]
+    # open grids: each sum below broadcasts to the same floats as a meshgrid.
+    # The grids run over (z, y, x), so every array is C-ordered over (z, y, x)
+    # and its transpose, indexed [x, y, z], is x-fastest like a Volume3D.
+    Z, Y, X = np.ogrid[0.0:nz, 0.0:ny, 0.0:nx]
 
     semi = spec.roi_semiaxes or tuple(0.45 * d for d in spec.dims)
     cx, cy, cz = ((nx - 1) / 2, (ny - 1) / 2, (nz - 1) / 2)
@@ -169,23 +171,24 @@ def make_phantom(spec: PhantomSpec) -> Phantom:
         ((X - cx) / semi[0]) ** 2
         + ((Y - cy) / semi[1]) ** 2
         + ((Z - cz) / semi[2]) ** 2
-    ) <= 1.0
+    ).T <= 1.0
     if not roi_data.any():
         raise BadSpec("roi semiaxes select no voxels")
 
     # nearest blob by a running minimum; the strict < keeps the first of a tie
     centers = [b.center for b in spec.blobs]
-    nearest = np.zeros(spec.dims, dtype=np.intp)
-    best = np.full(spec.dims, np.inf)
+    nearest = np.zeros((nz, ny, nx), dtype=np.intp)
+    best = np.full((nz, ny, nx), np.inf)
     for i, (cx, cy, cz) in enumerate(centers):
         d2 = (X - cx) ** 2 + (Y - cy) ** 2 + (Z - cz) ** 2
         nearest[d2 < best] = i
         np.minimum(best, d2, out=best)
     del best, d2
+    nearest = nearest.T
 
     guidance_data = np.array([b.intensity for b in spec.blobs])[nearest]
     if spec.noise_sigma > 0:
-        guidance_data = guidance_data + rng.normal(0.0, spec.noise_sigma, spec.dims)
+        guidance_data += rng.normal(0.0, spec.noise_sigma, spec.dims)
 
     blob_label = np.array([b.label_id for b in spec.blobs], dtype=np.uint16)
     truth_data = np.where(roi_data, blob_label[nearest], BACKGROUND_ID).astype(np.uint16)

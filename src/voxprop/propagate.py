@@ -19,6 +19,7 @@ of the spatially nearest seed.
 from __future__ import annotations
 
 import functools
+import itertools
 import logging
 from dataclasses import dataclass
 
@@ -131,9 +132,18 @@ def _nearest_seed_cols(fill_voxels, seed_voxels, seed_cols, dims, spacing):
     cols = seed_cols[nearest[:, 0]]
     reach = dist[:, 0] + 16 * eps * (np.dot(dims, spacing) + dist[:, 0])
     tied = np.flatnonzero(dist[:, 1] <= reach)
-    for i, near in zip(tied, tree.query_ball_point(fill_at[tied], reach[tied])):
-        r = np.sqrt((((seed_ijk[near] - fill_ijk[i]) * spacing) ** 2).sum(axis=1))
-        cols[i] = seed_cols[near][r <= r.min() * (1 + 4 * eps)].min()
+    # every (tied row, seed in its ball) pair at once; each ball holds the
+    # row's nearest seed, so no segment of the reductions is empty
+    balls = tree.query_ball_point(fill_at[tied], reach[tied])
+    sizes = np.fromiter(map(len, balls), dtype=np.intp, count=tied.size)
+    near = np.fromiter(itertools.chain.from_iterable(balls), dtype=np.intp, count=sizes.sum())
+    row = np.repeat(tied, sizes)
+    r = np.sqrt((((seed_ijk[near] - fill_ijk[row]) * spacing) ** 2).sum(axis=1))
+    starts = np.cumsum(sizes) - sizes
+    r_min = np.minimum.reduceat(r, starts)
+    near_cols = seed_cols[near]
+    near_cols[r > np.repeat(r_min * (1 + 4 * eps), sizes)] = np.iinfo(near_cols.dtype).max
+    cols[tied] = np.minimum.reduceat(near_cols, starts)
     return cols
 
 
@@ -156,19 +166,23 @@ def _propagate(req: PropagationRequest, regions: tuple[Volume3D, ...], where: st
     """
     labels, roi = req.annotation.labels, req.roi
     seeds_vol, conflict_vol = strip_conflicts(req.annotation)
-    seeds, conflicts = seeds_vol.data, conflict_vol.data
-    union = functools.reduce(np.logical_or, [r.data for r in regions])
-    n_outside = int(((seeds > 0) & ~union).sum())
+    # every volume is x-fastest, so these ravels are views
+    seeds = seeds_vol.data.ravel(order="F")
+    conflicts = conflict_vol.data
+    union = functools.reduce(np.logical_or, [r.data for r in regions]).ravel(order="F")
+    seeded = np.flatnonzero(seeds)
+    n_outside = int(seeded.size - np.count_nonzero(union[seeded]))
     if n_outside:
         log.warning("dropping %d seeds outside the %s", n_outside, where)
-    gap = np.flatnonzero((roi.data & ~union).ravel(order="F"))
+    gap = np.flatnonzero(roi.data.ravel(order="F") & ~union)
 
     region_seeds = []
     for region in regions:
-        seed_flat = np.flatnonzero(((seeds > 0) & region.data).ravel(order="F"))
+        seed_flat = seeded[region.data.ravel(order="F")[seeded]]
         if not seed_flat.size:
             raise NoSeedsInRoi("no single-labeled voxel inside the roi")
-        region_seeds.append((seed_flat, seeds.ravel(order="F")[seed_flat]))
+        region_seeds.append((seed_flat, seeds[seed_flat]))
+    del seeded
     systems = [
         assemble(req.guidance, region, s, req.beta, labels)
         for region, s in zip(regions, region_seeds)
@@ -246,12 +260,14 @@ def _propagate(req: PropagationRequest, regions: tuple[Volume3D, ...], where: st
     for voxels, cols in fills:
         hard[voxels] = ids[cols]
 
+    # a filled voxel is one-hot in its hard label; solved rows then overwrite
+    # the 1.0 written where their argmax is k. Zeros, not a full-grid write,
+    # leave the pages outside the labeled region unmapped.
     def soft_volume(k: int) -> Volume3D:
         flat = np.zeros(roi.n_voxels)
+        np.copyto(flat, 1.0, where=hard == ids[k])
         for voxels, values in solved:
             flat[voxels] = values[:, k]
-        for voxels, cols in fills:
-            flat[voxels[cols == k]] = 1.0
         return _volume(flat, roi, "probability")
 
     return soft_volume, _volume(hard, roi, "label"), reports, run

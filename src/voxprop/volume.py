@@ -14,7 +14,10 @@ mask          bool       region membership
 ============  =========  =======================================
 
 Linear (file) order is x-fastest: voxel ``(x, y, z)`` sits at flat index
-``x + nx*y + nx*ny*z``, i.e. ``data.ravel(order="F")``.
+``x + nx*y + nx*ny*z``, i.e. ``data.ravel(order="F")``. Memory follows the
+same order: every volume's array, and every label's mask in a
+:class:`MultiLabelAnnotation`, is stored x-fastest (Fortran-contiguous), so
+that ravel is a view, never a copy.
 
 All containers are immutable after construction (their arrays are marked
 read-only), so they are safe to share across threads.
@@ -68,6 +71,9 @@ class Volume3D:
     spacing : 3 floats, mm per voxel along x, y, z. All finite and > 0.
     origin : 3 finite floats, world coordinates (mm) of voxel (0, 0, 0).
 
+    The stored array is a read-only x-fastest (Fortran-ordered) copy of
+    `data`, whatever the input's layout.
+
     Raises
     ------
     NonFiniteInput
@@ -86,7 +92,8 @@ class Volume3D:
     def _adopt(cls, data: np.ndarray, kind: ElementKind, spacing, origin) -> "Volume3D":
         """Volume over `data` itself, without the defensive copy.
 
-        For arrays that no other code holds or writes to afterwards.
+        For x-fastest arrays of the kind's dtype that no other code holds or
+        writes to afterwards; any other array is copied into that layout.
         """
         vol = object.__new__(cls)
         for name, value in (("data", data), ("kind", kind), ("spacing", spacing), ("origin", origin)):
@@ -110,7 +117,7 @@ class Volume3D:
                 raise ValueError("label volumes require integer data")
             if arr.size and (arr.min() < 0 or arr.max() > np.iinfo(np.uint16).max):
                 raise ValueError("label ids must fit in uint16")
-        arr = arr.astype(_KIND_DTYPE[self.kind], copy=copy)
+        arr = arr.astype(_KIND_DTYPE[self.kind], order="F", copy=copy)
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
         object.__setattr__(self, "spacing", _as_triple(self.spacing, "spacing"))
@@ -238,7 +245,9 @@ class MultiLabelAnnotation:
     ``masks[k]`` marks the voxels carrying ``labels.ids[k]``. A voxel's set
     may be empty (unlabeled), a singleton, or larger (conflicting labels
     from overlapping per-structure delineations). `spacing` and `origin`
-    must be finite (:class:`NonFiniteInput` otherwise).
+    must be finite (:class:`NonFiniteInput` otherwise). `masks` is stored as
+    a read-only copy in which each ``masks[k]`` is x-fastest, like a
+    :class:`Volume3D`.
     """
 
     labels: LabelSet
@@ -254,7 +263,8 @@ class MultiLabelAnnotation:
             raise ValueError(
                 f"{masks.shape[0]} mask volumes for {len(self.labels)} labels"
             )
-        masks = masks.astype(bool, copy=True)
+        # C order over (label, z, y, x) is x-fastest within each label
+        masks = masks.transpose(0, 3, 2, 1).astype(bool, order="C").transpose(0, 3, 2, 1)
         masks.setflags(write=False)
         object.__setattr__(self, "masks", masks)
         object.__setattr__(self, "spacing", _as_triple(self.spacing, "spacing"))
@@ -277,6 +287,11 @@ class MultiLabelAnnotation:
     def label_counts(self) -> np.ndarray:
         """Per-voxel count of assigned labels, shape (nx, ny, nz)."""
         return self.masks.sum(axis=0, dtype=np.int64)
+
+
+def _label_counts(a: MultiLabelAnnotation) -> np.ndarray:
+    """`a.label_counts()` in the narrowest unsigned dtype that holds them."""
+    return a.masks.sum(axis=0, dtype=np.min_scalar_type(len(a.labels)))
 
 
 # --- operations ---------------------------------------------------------------
@@ -349,14 +364,13 @@ def strip_conflicts(a: MultiLabelAnnotation) -> tuple[Volume3D, Volume3D]:
     conflict_mask : Volume3D[mask]
         1 exactly where two or more labels were assigned.
     """
-    counts = a.label_counts()
-    # the masks' memory layout: masked writes across layouts are strided
-    seeds = np.zeros_like(a.masks[0], dtype=np.uint16)
+    counts = _label_counts(a)
+    seeds = np.zeros_like(a.masks[0], dtype=np.uint16)  # x-fastest, like the masks
     for lab, mask in zip(a.labels.ids, a.masks):
         seeds[mask] = lab
     seeds[counts != 1] = BACKGROUND_ID
     conflicts = counts >= 2
     return (
-        Volume3D(seeds, "label", a.spacing, a.origin),
-        Volume3D(conflicts, "mask", a.spacing, a.origin),
+        Volume3D._adopt(seeds, "label", a.spacing, a.origin),
+        Volume3D._adopt(conflicts, "mask", a.spacing, a.origin),
     )

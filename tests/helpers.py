@@ -8,7 +8,9 @@ functions can serve as ground truth for the library's fast paths.
 take an assembled system: they check the library's solvers against a
 dense, or for large lattices a sparse, factorization of the same L_U and
 B. `argmax_labels` is the hard labeling of stacked soft volumes, against
-which the driver's own argmax is checked. `loop_phantom_arrays` rebuilds a
+which the driver's own argmax is checked, and `soft_from_fills` builds a
+soft volume one fill at a time, against which the driver's builder is
+checked. `loop_phantom_arrays` rebuilds a
 phantom from a full distance stack and a per-voxel loop over the conflict
 voxels.
 """
@@ -219,6 +221,21 @@ def argmax_labels(probs: Sequence[Volume3D] | np.ndarray, labels: LabelSet,
     best = ids[np.argmax(stack, axis=0)]  # argmax takes the first (smallest id) on ties
     hard = np.where(roi.data, best, BACKGROUND_ID).astype(np.uint16)
     return Volume3D(hard, "label", roi.spacing, roi.origin)
+
+
+def soft_from_fills(n_voxels: int, solved, fills, k: int) -> np.ndarray:
+    """Label column k's flat x-fastest soft volume, one fill at a time.
+
+    `solved` holds (voxels, values) pairs whose rows are scattered as they
+    are; `fills` holds (voxels, cols) pairs, each voxel one-hot in its
+    column. Every other voxel is 0.
+    """
+    flat = np.zeros(n_voxels)
+    for voxels, values in solved:
+        flat[voxels] = values[:, k]
+    for voxels, cols in fills:
+        flat[voxels[cols == k]] = 1.0
+    return flat
 
 
 def _walk_tables(n_nodes: int, edges):

@@ -65,6 +65,11 @@ class TestAssemble:
         with pytest.raises(ValueError):
             assemble(*uniform_chain(3), {0: 9}, 0.0, LabelSet.from_ids([1, 2]))
 
+    def test_stray_seed_labels_are_named_once_each(self):
+        seeds = (np.array([0, 1, 2]), np.array([9, 1, 9]))
+        with pytest.raises(ValueError, match=r"seed labels \[9\] not in label set"):
+            assemble(*uniform_chain(3), seeds, 0.0, LabelSet.from_ids([1, 2]))
+
     def test_duplicate_seed_nodes_rejected(self):
         with pytest.raises(ValueError):
             assemble(*uniform_chain(3), (np.array([0, 0]), np.array([1, 2])), 0.0)

@@ -8,6 +8,7 @@ from voxprop import (
     BACKGROUND_ID,
     DimMismatch,
     LabelSet,
+    MultiLabelAnnotation,
     TooFewMaps,
     Volume3D,
     build_eval_mask,
@@ -165,6 +166,14 @@ class TestBuildEvalMask:
         ann = annotation_from_sets(LABELS, (2, 2, 2), {})
         with pytest.raises(DimMismatch):
             build_eval_mask(ann, full_mask((3, 3, 3)))
+
+    def test_voxel_carrying_256_labels_is_excluded(self):
+        labels = LabelSet.from_ids(range(1, 257))
+        masks = np.zeros((256, 2, 1, 1), bool)
+        masks[:, 0] = True
+        ann = MultiLabelAnnotation(labels, masks)
+        out = build_eval_mask(ann, full_mask((2, 1, 1)))
+        assert out.data.ravel().tolist() == [False, True]
 
 
 class TestDiceReport:

@@ -281,27 +281,27 @@ GOLDEN_SPECS = {
 # every phantom-based benchmark workload and test input changed too
 GOLDEN = {
     "conflicts_anisotropic": {
-        "guidance": ("fe04d470a55f3e9b880c6c2a04e3c733c88026d592c156923538e7750c6c2c23", (720, 72, 8)),
-        "roi": ("4a8fa5415807fed42ed87b58ecd37192044cbfe547e273e11d2813b6045f047d", (90, 9, 1)),
-        "truth": ("ef71e3eca84f9e12f0e9f1d5078d3022e0a912961ae2ea25b6806e55dcb0574e", (180, 18, 2)),
+        "guidance": ("fe04d470a55f3e9b880c6c2a04e3c733c88026d592c156923538e7750c6c2c23", (8, 96, 960)),
+        "roi": ("4a8fa5415807fed42ed87b58ecd37192044cbfe547e273e11d2813b6045f047d", (1, 12, 120)),
+        "truth": ("ef71e3eca84f9e12f0e9f1d5078d3022e0a912961ae2ea25b6806e55dcb0574e", (2, 24, 240)),
         "masks": ("c8c070ccf7bc5fb5a1a08b17795cc17c5b071fd0a7526eacd2c686a5e8d9b65d", (1080, 1, 12, 120)),
     },
     "duplicate_labels": {
-        "guidance": ("149ac9a516eba43648667bc0d1ed7b7481a7d1d1bc75ba673252966de5c755b5", (768, 64, 8)),
-        "roi": ("a7a78814ab6e806f65db5d04a50e0bd124c262349b6ac760359c431d2a2e5e98", (96, 8, 1)),
-        "truth": ("28dce3d37f8b5176fa5ee0460369d8db356e00588360b22b0834a27d35d09a44", (192, 16, 2)),
+        "guidance": ("149ac9a516eba43648667bc0d1ed7b7481a7d1d1bc75ba673252966de5c755b5", (8, 80, 960)),
+        "roi": ("a7a78814ab6e806f65db5d04a50e0bd124c262349b6ac760359c431d2a2e5e98", (1, 10, 120)),
+        "truth": ("28dce3d37f8b5176fa5ee0460369d8db356e00588360b22b0834a27d35d09a44", (2, 20, 240)),
         "masks": ("ae1ad48a59c022ac1bb38c264064b29797535c0074b99bbbf5fac83311183835", (960, 1, 10, 120)),
     },
     "integer_ties_no_kept_centers": {
-        "guidance": ("fa49032ad7cc6a3e4a28babed0aa093155a74e7ad473af786cad6e5a8ef8e493", (648, 72, 8)),
-        "roi": ("7a1215bd2ff21661f375847990dc28c78924d313d70251c0836295ee2a0cb9c0", (81, 9, 1)),
-        "truth": ("c57ac57b2cdb83acd7d6d6193fc9ca4aee23ccc4d0ca16750b4c7ec7bd693a40", (162, 18, 2)),
+        "guidance": ("fa49032ad7cc6a3e4a28babed0aa093155a74e7ad473af786cad6e5a8ef8e493", (8, 72, 648)),
+        "roi": ("7a1215bd2ff21661f375847990dc28c78924d313d70251c0836295ee2a0cb9c0", (1, 9, 81)),
+        "truth": ("c57ac57b2cdb83acd7d6d6193fc9ca4aee23ccc4d0ca16750b4c7ec7bd693a40", (2, 18, 162)),
         "masks": ("2b015a3bdb6d6310346e731ca8cc72bb9af768c7eeb71bde495a0a165474fcbb", (729, 1, 9, 81)),
     },
     "two_labels_roi": {
-        "guidance": ("fa49825c1b9cac0eb27bbe32500cc5a58661824e683b0b0594e9d217dd5131b1", (512, 64, 8)),
-        "roi": ("e14f0cdc3026888c779952530ad408d762c208c4766267fc77c00225daab9353", (64, 8, 1)),
-        "truth": ("7fcca06ec622f616bb14ac530b24319c609a1cc36694864185215d151a8f9d2b", (128, 16, 2)),
+        "guidance": ("fa49825c1b9cac0eb27bbe32500cc5a58661824e683b0b0594e9d217dd5131b1", (8, 64, 512)),
+        "roi": ("e14f0cdc3026888c779952530ad408d762c208c4766267fc77c00225daab9353", (1, 8, 64)),
+        "truth": ("7fcca06ec622f616bb14ac530b24319c609a1cc36694864185215d151a8f9d2b", (2, 16, 128)),
         "masks": ("86655322d3dd7ec39884417e6dec45223614c85bb5025bb13f114bebc7d32eab", (512, 1, 8, 64)),
     },
 }

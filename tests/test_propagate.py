@@ -23,13 +23,14 @@ from voxprop import (
     Volume3D,
     propagate,
     propagate_bilateral,
+    strip_conflicts,
 )
 from voxprop import dirichlet
 from voxprop.phantom import PhantomBlob, PhantomSpec, make_phantom
 from voxprop.propagate import PropagationRequest, _nearest_seed_cols
 
 from conftest import annotation_from_sets, full_mask, make_intensity, make_mask
-from helpers import argmax_labels, brute_force_edges, dense_dirichlet
+from helpers import argmax_labels, brute_force_edges, dense_dirichlet, soft_from_fills
 
 
 LABELS = LabelSet(((2, "A"), (5, "B")))
@@ -876,6 +877,69 @@ GOLDEN = {
         "1f2b295f3004e3fb685337c3926d72a3b3d7113ecf1732586fdfe8f53012bdb0",
     ),
 }
+
+
+@pytest.mark.parametrize("entry", ["propagate", "bilateral"])
+def test_outputs_do_not_depend_on_the_input_layout(entry):
+    ph = make_phantom(GOLDEN_SPECS["capped"])
+    spacing = ph.roi.spacing
+    roi = ph.roi.data
+    x = np.arange(roi.shape[0])[:, None, None]
+    halves = (roi & (x < 7), roi & (x > 8))
+
+    def run(layout):
+        req = PropagationRequest(
+            guidance=Volume3D(layout(ph.guidance.data), "intensity", spacing),
+            roi=Volume3D(layout(roi), "mask", spacing),
+            annotation=MultiLabelAnnotation(ph.labels, layout(ph.annotation.masks), spacing),
+            beta=1000.0,
+        )
+        if entry == "propagate":
+            return propagate(req)
+        return propagate_bilateral(req, tuple(Volume3D(layout(h), "mask", spacing) for h in halves))
+
+    c_res, f_res = run(np.ascontiguousarray), run(np.asfortranarray)
+    for a, b in zip(c_res.soft + (c_res.hard,), f_res.soft + (f_res.hard,)):
+        assert a.data.tobytes(order="F") == b.data.tobytes(order="F")
+    assert c_res.report == f_res.report
+
+
+def test_soft_volumes_match_a_per_fill_oracle():
+    # "capped" bilateral: each half has a seedless end cap, and a gap slab
+    # lies between the halves
+    res = golden_run("bilateral", "capped", "nearest_seed")
+    assert res.report["n_gap_filled"] > 0
+    assert all(h["n_policy_filled"] > 0 for h in res.report["hemispheres"])
+
+    ph = make_phantom(GOLDEN_SPECS["capped"])
+    roi = ph.roi.data
+    x = np.arange(roi.shape[0])[:, None, None]
+    xs = np.flatnonzero(roi.any(axis=(1, 2)))
+    lo, hi, mid = xs.min() + 2, xs.max() - 2, roi.shape[0] // 2
+    cut = roi & (x != lo) & (x != hi)
+    masks = ph.annotation.masks & ~(roi & ((x < lo) | (x > hi)))
+    ann = MultiLabelAnnotation(ph.labels, masks, ph.roi.spacing)
+    seeds = strip_conflicts(ann)[0].data.ravel(order="F")
+    ids, dims, spacing = ph.labels.ids, ph.roi.dims, ph.roi.spacing
+    halves = (cut & (x < mid - 1), cut & (x > mid))
+    solved, seed_fills, pocket_fills = [], [], []
+    for half in halves:
+        seed_flat = np.flatnonzero(seeds * half.ravel(order="F"))
+        cols = np.searchsorted(ids, seeds[seed_flat])
+        system = dirichlet.assemble(ph.guidance, make_mask(half, spacing),
+                                    (seed_flat, seeds[seed_flat]), 1000.0, ph.labels)
+        solved.append((system.unseeded, dirichlet.solve_all(system).values))
+        pockets = system.pocket_voxels
+        seed_fills.append((seed_flat, cols))
+        pocket_fills.append((pockets, _nearest_seed_cols(pockets, seed_flat, cols, dims, spacing)))
+    gap = np.flatnonzero((roi & ~(halves[0] | halves[1])).ravel(order="F"))
+    assert gap.size == res.report["n_gap_voxels"]
+    all_seeds = (np.concatenate(parts) for parts in zip(*seed_fills))
+    fills = seed_fills + pocket_fills + [(gap, _nearest_seed_cols(gap, *all_seeds, dims, spacing))]
+
+    for k, vol in enumerate(res.soft):
+        want = soft_from_fills(roi.size, solved, fills, k)
+        assert vol.data.ravel(order="F").tobytes() == want.tobytes()
 
 
 def golden_digests(res):

@@ -77,6 +77,29 @@ class TestVolume3D:
             )
 
 
+class TestLayout:
+    @pytest.mark.parametrize("kind", ["intensity", "probability", "label", "mask"])
+    def test_c_ordered_input_is_stored_x_fastest(self, kind):
+        data = (np.arange(60) % 2).reshape(3, 4, 5)
+        assert data.flags.c_contiguous and not data.flags.f_contiguous
+        v = Volume3D(data, kind)
+        assert v.data.flags.f_contiguous
+        assert np.array_equal(v.data, data)
+
+    def test_adopt_keeps_an_x_fastest_array(self):
+        data = np.asfortranarray(np.arange(60.0).reshape(3, 4, 5))
+        v = Volume3D._adopt(data, "intensity", (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
+        assert np.shares_memory(v.data, data)
+
+    @pytest.mark.parametrize("layout", [np.ascontiguousarray, np.asfortranarray])
+    def test_annotation_masks_are_x_fastest_per_label(self, rng, layout):
+        masks = layout(rng.random((3, 4, 5, 6)) < 0.5)
+        ann = MultiLabelAnnotation(LabelSet.from_ids([1, 2, 3]), masks)
+        assert all(m.flags.f_contiguous for m in ann.masks)
+        assert np.array_equal(ann.masks, masks)
+        assert not np.shares_memory(ann.masks, masks)
+
+
 class TestLabelSet:
     def test_roundtrip_file(self, tmp_path):
         labels = LabelSet(((3, "MD"), (7, "CL")))
@@ -250,6 +273,19 @@ class TestStripConflicts:
         seeds, conflicts = strip_conflicts(ann)
         assert not seeds.data.any()
         assert not conflicts.data.any()
+
+    def test_voxel_carrying_256_labels_is_a_conflict(self):
+        # a uint8 count of 256 labels would wrap to 0 and miss the conflict
+        labels = LabelSet.from_ids(range(1, 257))
+        masks = np.zeros((256, 3, 1, 1), bool)
+        masks[:, 0] = True
+        masks[7, 1] = True
+        ann = MultiLabelAnnotation(labels, masks)
+        seeds, conflicts = strip_conflicts(ann)
+        assert seeds.data.ravel().tolist() == [BACKGROUND_ID, 8, BACKGROUND_ID]
+        assert conflicts.data.ravel().tolist() == [True, False, False]
+        counts = ann.label_counts()
+        assert counts.dtype == np.int64 and counts.ravel().tolist() == [256, 1, 0]
 
 
 class TestArgmaxLabels:
