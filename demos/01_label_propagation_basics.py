@@ -57,11 +57,9 @@ seeds = {int(n): int(rng.integers(1, 4)) for n in rng.choice(guidance.n_voxels, 
 system = assemble(guidance, roi, seeds, 2.0, LabelSet.from_ids([1, 2, 3]))
 
 fast = solve_all(system)
-# the same system solved densely: L_U x = -B M, M the one-hot labels of the seeds
-n_seeds = system.seed_voxels.size
-M = np.zeros((n_seeds, len(system.label_ids)))
-M[np.arange(n_seeds), np.searchsorted(system.label_ids, system.seed_labels)] = 1.0
-ref = np.linalg.solve(system.L_U.toarray(), -(system.B @ M))
+# the same system solved densely: L_U X = -B, one column per label, since
+# B sums each voxel's couplings to the seeds of every label
+ref = np.linalg.solve(system.L_U.toarray(), (-system.B).toarray())
 print("6x6x6 lattice, 12 random seeds, 3 labels:")
 print(f"  {system.n_unseeded} unknowns in blocks of at most {system.largest_block} nodes, "
       f"so solve_all takes the {fast.route!r} route (sparse LU up to "

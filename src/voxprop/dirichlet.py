@@ -4,16 +4,16 @@ Minimizing the discrete Dirichlet energy  1/2 * sum_ij w_ij (x_i - x_j)^2
 with seeded nodes held fixed splits the graph Laplacian L into blocks over
 seeded (S) and unseeded (U) nodes; the unknown values per label solve
 
-    L_U x = -B m_label
+    L_U x = -B e_label
 
-where L_U is the U-U block, B the U-S coupling block, and m_label the
-one-hot indicator of the label over the seeds. Row sums of [L_U | B] are
-zero by construction.
+where L_U is the U-U block, B the U-S coupling block summed per label
+(B[r, k] adds up row r's couplings to the seeds of label k), and e_label
+the label's unit vector. Row sums of [L_U | B] are zero by construction.
 
 The nodes are voxels. `assemble` visits only the unseeded roi voxels and
 their six neighbours, since the U-U and U-S edges are all the system needs;
-seed-seed edges are never built. The connected components of the U-U graph
-are the blocks of L_U. A block with no edge to a seed (a pocket) joins
+seed-seed edges are never built. The connected components of L_U's own
+graph are its blocks. A block with no edge to a seed (a pocket) joins
 neither S nor U, so L_U is always SPD: a walker there never reaches a seed.
 The solvers return x_U only, one row per unseeded voxel in `unseeded`
 order; seeds and pockets have no row, and their voxels are the caller's to
@@ -101,6 +101,10 @@ DIRECT_BLOCK_LIMIT = 4096
 #: edges always cut; far below the weights inside a smooth region.
 ISLAND_TAU = 1e-3
 
+#: What a failed sparse LU raises: SuperLU reports a failed allocation as
+#: MemoryError or as "SystemError: gstrf was called with invalid arguments".
+_SPLU_FAILURES = (MemoryError, RuntimeError, SystemError)
+
 
 def _check_rel_tol(rel_tol: float) -> float:
     rel_tol = float(rel_tol)
@@ -129,23 +133,22 @@ class LabelSolveStats:
 class DirichletSystem:
     """Partitioned lattice Laplacian around fixed seed voxels.
 
-    Voxels are x-fastest flat indices. seed_voxels/seed_labels are sorted
-    by voxel; `unseeded` holds the other roi voxels of blocks that reach a
-    seed, ascending. L_U rows/cols follow `unseeded` order, B columns follow
-    `seed_voxels` order. `label_ids` ascend. `odd[r]` says whether the voxel
-    of row r has i + j + k odd; every off-diagonal entry of L_U joins an odd
-    row to an even one.
+    Voxels are x-fastest flat indices. `unseeded` holds the roi voxels that
+    are not seeds, of blocks that reach a seed, ascending. L_U rows/cols and
+    B rows follow `unseeded` order, and B columns follow `label_ids`, which
+    ascend. A row of B stores one entry per seed neighbour, so it may
+    repeat a label's column; products with B, `toarray` and `sum` add the
+    repeats. `odd[r]` says whether the voxel of row r has i + j + k odd;
+    every off-diagonal entry of L_U joins an odd row to an even one.
 
     A block is a connected component of the unseeded roi voxels; blocks are
     numbered by their first voxel. `n_blocks` counts them all, pockets
     included, and `largest_block` is the node count of the largest block of
     L_U (0 when there is none). The pockets, blocks with no edge to a seed,
     are listed by id in `seedless_components`; their voxels, in
-    `pocket_voxels`, are in neither `unseeded` nor `seed_voxels`.
+    `pocket_voxels`, are not in `unseeded`.
     """
 
-    seed_voxels: np.ndarray
-    seed_labels: np.ndarray
     unseeded: np.ndarray
     odd: np.ndarray
     L_U: sp.csr_matrix
@@ -157,7 +160,7 @@ class DirichletSystem:
     largest_block: int
 
     def __post_init__(self):
-        for name in ("seed_voxels", "seed_labels", "unseeded", "odd", "pocket_voxels"):
+        for name in ("unseeded", "odd", "pocket_voxels"):
             getattr(self, name).setflags(write=False)
 
     @property
@@ -214,7 +217,7 @@ def _csr(slots, n_cols: int) -> sp.csr_matrix:
     """CSR matrix from (present, cols, vals) slots over its rows.
 
     Row r holds vals[r] at column cols[r] for every slot whose present[r]
-    is set; the slots come in ascending column order within each row.
+    is set, in slot order.
     """
     indptr = np.concatenate([[0], np.cumsum(sum(present for present, _, _ in slots))])
     indices = np.empty(indptr[-1], dtype=np.int64)
@@ -237,10 +240,11 @@ def assemble(
 ) -> DirichletSystem:
     """Partition the lattice Laplacian over `roi` around fixed seed voxels.
 
-    Only the unseeded roi voxels and their neighbours are visited. The
-    U-U graph is searched once for its components, the blocks; blocks that
-    reach no seed are pockets and are left out of L_U and B. A voxel's
-    degree sums its edge weights in `lattice.DIRECTIONS` order.
+    Only the unseeded roi voxels and their neighbours are visited. L_U is
+    built once over all of them, and its graph is searched once for its
+    components, the blocks; blocks that reach no seed are pockets, and their
+    rows and columns are then dropped from L_U and B. A voxel's degree sums
+    its edge weights in `lattice.DIRECTIONS` order.
 
     Parameters
     ----------
@@ -297,46 +301,25 @@ def assemble(
     if min(label_ids) <= 0:
         raise ValueError("seed labels must be strictly positive")
 
-    order = np.argsort(seed_voxels, kind="stable")
-    seed_voxels = seed_voxels[order]
-    seed_labels = seed_labels[order]
-    if (seed_voxels[1:] == seed_voxels[:-1]).any():
-        raise ValueError("duplicate seed voxels")
-
     seeded = np.zeros(inside.size, dtype=bool)
     seeded[seed_voxels] = True
+    if np.count_nonzero(seeded) < seed_voxels.size:
+        raise ValueError("duplicate seed voxels")
     free = np.flatnonzero(inside & ~seeded)
+    # made before the large arrays below: made after them, this small array
+    # left a heap layout that raised sparse-seeds peak RSS by 12 MB
+    odd = voxel_parity(free, roi.dims)
     nbrs = neighbor_voxels(free, inside, roi.dims)
     present = nbrs >= 0
     to_seed = present & seeded[nbrs]
     to_free = present & ~to_seed
 
-    # index[v]: v's place among the free voxels; once the pockets are known,
-    # among the unseeded voxels (a row) or the seeds (a column of B)
+    # index[v]: a free voxel's row and column of L_U, a seed's label column of B
     index = np.empty(inside.size, dtype=np.int64)
     index[free] = np.arange(free.size)
-
-    # blocks: components of the U-U graph, each edge taken once (+ directions)
-    up = to_free[:3]
-    block = block_ids(free.size, np.nonzero(up)[1], index[nbrs[:3][up]])
-    n_blocks = int(block.max()) + 1 if free.size else 0
-    reaches_seed = np.zeros(n_blocks, dtype=bool)
-    reaches_seed[block[to_seed.any(axis=0)]] = True
-    solved = reaches_seed[block]
-    sizes = np.bincount(block[solved], minlength=n_blocks)
-    unseeded = free[solved]
-    # made before the large arrays below: made after them, this small array
-    # left a heap layout that raised sparse-seeds peak RSS by 12 MB
-    odd = voxel_parity(unseeded, roi.dims)
-    n_u, n_s = unseeded.size, seed_voxels.size
-    index[unseeded] = np.arange(n_u)
-    index[seed_voxels] = np.arange(n_s)
-
-    # a solved voxel's free neighbours are in its own block, so solved too
-    nbrs, present = nbrs[:, solved], present[:, solved]
-    to_seed, to_free = to_seed[:, solved], to_free[:, solved]
+    index[seed_voxels] = np.searchsorted(label_ids, seed_labels)
     col = index[nbrs]
-    g = intensity[unseeded]
+    g = intensity[free]
     w = np.zeros(nbrs.shape)
     for k, has in enumerate(present):
         w[k, has] = _weights(g[has], intensity[nbrs[k, has]], beta)
@@ -346,17 +329,27 @@ def assemble(
         deg += row
     np.negative(w, out=w)  # the off-diagonal entries are -w
 
-    # per row, columns ascend from -z, -y, -x through the diagonal to +x, +y, +z
+    # per row, columns ascend from -z, -y, -x through the diagonal to +x, +y, +z;
+    # B keeps a row's repeated label columns: sum_duplicates' unstable sort could reorder sums
     ascending = (5, 4, 3, 0, 1, 2)
     couplings = [(to_free[k], col[k], w[k]) for k in ascending]
-    diagonal = (np.ones(n_u, dtype=bool), np.arange(n_u), deg)
-    L_U = _csr(couplings[:3] + [diagonal] + couplings[3:], n_u)
-    B = _csr([(to_seed[k], col[k], w[k]) for k in ascending], n_s)
+    diagonal = (np.ones(free.size, dtype=bool), np.arange(free.size), deg)
+    L_U = _csr(couplings[:3] + [diagonal] + couplings[3:], free.size)
+    B = _csr([(to_seed[k], col[k], w[k]) for k in ascending], len(label_ids))
+    del couplings, col, w, index  # held while L_U is copied below, they add 3 MB of peak
+
+    block = block_ids(L_U)
+    n_blocks = int(block.max()) + 1 if free.size else 0
+    reaches_seed = np.zeros(n_blocks, dtype=bool)
+    reaches_seed[block[to_seed.any(axis=0)]] = True
+    solved = reaches_seed[block]
+    if not solved.all():
+        # a pocket has no edge out of itself, so dropping its rows and
+        # columns leaves every other row whole
+        L_U, B, odd = L_U[solved][:, solved], B[solved], odd[solved]
 
     return DirichletSystem(
-        seed_voxels=seed_voxels,
-        seed_labels=seed_labels,
-        unseeded=unseeded,
+        unseeded=free[solved],
         odd=odd,
         L_U=L_U,
         B=B,
@@ -364,7 +357,7 @@ def assemble(
         pocket_voxels=free[~solved],
         seedless_components=tuple(int(c) for c in np.flatnonzero(~reaches_seed)),
         n_blocks=n_blocks,
-        largest_block=int(sizes.max(initial=0)),
+        largest_block=int(np.bincount(block[solved], minlength=n_blocks).max(initial=0)),
     )
 
 
@@ -408,13 +401,21 @@ def _reduce(sys: DirichletSystem) -> _Reduction:
     e_of = np.repeat(np.arange(e.size), np.diff(W.indptr))
     s_diag = diag[o] - np.bincount(W.indices, W.data**2 * e_inv[e_of], minlength=o.size)
 
-    strong = W.data > ISLAND_TAU
-    block = block_ids(e.size + o.size, e_of[strong], e.size + W.indices[strong])
+    # islands: components of the strong edges, as a graph over e then o
+    strong = W > ISLAND_TAU
+    n = e.size + o.size
+    indptr = np.concatenate([strong.indptr, np.full(o.size, strong.nnz)])  # o rows empty
+    block = block_ids(sp.csr_matrix((strong.data, e.size + strong.indices, indptr), shape=(n, n)))
     _, island = np.unique(block[e.size:], return_inverse=True)  # drops islands without o
+    n_islands = island.max(initial=-1) + 1
     Z = sp.csr_matrix((np.ones(o.size), island, np.arange(o.size + 1)),
-                      shape=(o.size, island.max(initial=-1) + 1))
+                      shape=(o.size, n_islands))
     SZ = (sp.diags(diag[o]) @ Z - W.T @ (sp.diags(e_inv) @ (W @ Z))).tocsr()
-    E = splu((Z.T @ SZ).tocsc(), permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
+    try:
+        E = _splu(Z.T @ SZ)
+    except _SPLU_FAILURES as exc:
+        raise ConvergenceFailure(f"sparse LU of the {n_islands}-island deflation space "
+                                 f"failed ({type(exc).__name__}: {exc})") from exc
     return _Reduction(e, o, W, e_inv, diag[o], 1.0 / s_diag, island, SZ.T.tocsr(), E)
 
 
@@ -471,7 +472,7 @@ def _solve_one(sys: DirichletSystem, red: _Reduction, label: int, rel_tol: float
     iterating. Raises ConvergenceFailure, with the achieved residual, at the
     iteration cap.
     """
-    b = -(sys.B @ (sys.seed_labels == label).astype(np.float64))
+    b = -(sys.B @ np.eye(len(sys.label_ids))[sys.label_ids.index(label)])
     if not b.any():
         out[:] = 0.0
         return LabelSolveStats(label, 0, 0.0)
@@ -522,10 +523,9 @@ def solve_all(sys: DirichletSystem, rel_tol: float = 1e-8) -> ProbabilityField:
     direct_error = None
     if 0 < sys.largest_block <= DIRECT_BLOCK_LIMIT:
         try:
-            values = _solve_direct(sys)
-        # SuperLU reports a failed allocation as MemoryError or as
-        # "SystemError: gstrf was called with invalid arguments"
-        except (MemoryError, RuntimeError, SystemError) as exc:
+            # -B is nonnegative, so an unseeded label's column is +0.0, not -0.0
+            values = _splu(sys.L_U).solve((-sys.B).toarray())
+        except _SPLU_FAILURES as exc:
             direct_error = f"{type(exc).__name__}: {exc}"
             log.warning("sparse LU failed (%s); solving by PCG", direct_error)
         else:
@@ -546,16 +546,9 @@ def solve_all(sys: DirichletSystem, rel_tol: float = 1e-8) -> ProbabilityField:
     return ProbabilityField(values, label_ids, tuple(stats), "pcg", direct_error, n_islands)
 
 
-def _solve_direct(sys: DirichletSystem) -> np.ndarray:
-    """All labels from one sparse LU factorization of L_U."""
-    n_s = sys.seed_voxels.size
-    cols = np.searchsorted(sys.label_ids, sys.seed_labels)
-    one_hot = sp.csr_matrix(
-        (np.ones(n_s), (np.arange(n_s), cols)), shape=(n_s, len(sys.label_ids))
-    )
-    lu = splu(sys.L_U.tocsc(), permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
-    # -B is nonnegative, so an unseeded label's column is +0.0, not -0.0
-    return lu.solve(((-sys.B) @ one_hot).toarray())
+def _splu(A: sp.spmatrix) -> SuperLU:
+    """Sparse LU of the symmetric matrix A, ordered on the pattern of A + A^T."""
+    return splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
 
 
 def _finalize_probabilities(values: np.ndarray) -> None:

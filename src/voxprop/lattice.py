@@ -2,8 +2,8 @@
 
 Voxels are addressed by their x-fastest flat index. The neighbours of voxel
 v are v +/- 1, v +/- nx and v +/- nx*ny, kept when they lie on the grid and
-in the roi; `neighbor_voxels` and `voxel_parity` are the only places that
-do this arithmetic.
+in the roi; `neighbor_voxels` and `voxel_parity` do this arithmetic, and
+`propagate._nearest_seed_cols` unravels flat indices into coordinates.
 An edge joins two neighbouring roi voxels, with Gaussian intensity affinity
 
     w_ij = exp(-beta * (g_i - g_j)**2)
@@ -12,8 +12,8 @@ clamped below at ``W_FLOOR`` so extreme contrast cannot disconnect the
 graph numerically.
 
 The whole roi's graph is never built: `assemble` visits only the unseeded
-voxels' neighbourhoods, and `block_ids` finds the components of the graph
-between them.
+voxels' neighbourhoods, and `block_ids` finds the components of the L_U it
+builds over them.
 """
 
 from __future__ import annotations
@@ -96,14 +96,14 @@ def voxel_parity(voxels: np.ndarray, dims) -> np.ndarray:
     return (voxels % nx + voxels // nx % ny + voxels // (nx * ny)) % 2 == 1
 
 
-def block_ids(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Component id per node of the graph with edges (rows, cols).
+def block_ids(adj: sp.spmatrix) -> np.ndarray:
+    """Component id per node of the graph whose edges are `adj`'s entries.
 
-    Ids are ordered by each component's minimal node: component 0 contains
-    node 0, the next component met scanning node ids upward gets 1, and so on.
+    `adj` is square and sparse; an entry (i, j), or (j, i), joins nodes i
+    and j. Ids are ordered by each component's minimal node: component 0
+    contains node 0, the next component met scanning node ids upward gets 1,
+    and so on.
     """
-    # the COO form is freed before the search, which makes its own transpose
-    adj = sp.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n)).tocsr()
     _, raw = _cc(adj, directed=False)
     _, first = np.unique(raw, return_index=True)
     order = np.empty(len(first), dtype=np.int64)

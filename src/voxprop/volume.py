@@ -107,16 +107,7 @@ class Volume3D:
         arr = np.asarray(self.data)
         if arr.ndim != 3:
             raise ValueError(f"expected a 3D array, got shape {arr.shape}")
-        if min(arr.shape) < 1:
-            raise ValueError(f"all dims must be >= 1, got {arr.shape}")
-        if self.kind == "mask" and arr.dtype != np.bool_:
-            if not np.isin(arr, (0, 1)).all():
-                raise ValueError("mask volumes may contain only 0 and 1")
-        if self.kind == "label" and arr.dtype != np.uint16:
-            if not np.issubdtype(arr.dtype, np.integer):
-                raise ValueError("label volumes require integer data")
-            if arr.size and (arr.min() < 0 or arr.max() > np.iinfo(np.uint16).max):
-                raise ValueError("label ids must fit in uint16")
+        _check_values(arr, self.kind)
         arr = arr.astype(_KIND_DTYPE[self.kind], order="F", copy=copy)
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
@@ -136,6 +127,19 @@ class Volume3D:
     def with_data(self, data, kind: ElementKind | None = None) -> "Volume3D":
         """New volume on the same grid (spacing/origin preserved)."""
         return Volume3D(data, kind or self.kind, self.spacing, self.origin)
+
+
+def _check_values(arr: np.ndarray, kind: ElementKind) -> None:
+    """Raise ValueError unless `arr` has no empty axis and its values fit `kind`."""
+    if min(arr.shape) < 1:
+        raise ValueError(f"all dims must be >= 1, got {arr.shape}")
+    if kind == "mask" and arr.dtype != np.bool_ and not np.isin(arr, (0, 1)).all():
+        raise ValueError("mask volumes may contain only 0 and 1")
+    if kind == "label" and arr.dtype != np.uint16:
+        if not np.issubdtype(arr.dtype, np.integer):
+            raise ValueError("label volumes require integer data")
+        if arr.min() < 0 or arr.max() > np.iinfo(np.uint16).max:
+            raise ValueError("label ids must fit in uint16")
 
 
 def require_same_dims(*volumes) -> tuple[int, int, int]:
@@ -244,10 +248,10 @@ class MultiLabelAnnotation:
 
     ``masks[k]`` marks the voxels carrying ``labels.ids[k]``. A voxel's set
     may be empty (unlabeled), a singleton, or larger (conflicting labels
-    from overlapping per-structure delineations). `spacing` and `origin`
-    must be finite (:class:`NonFiniteInput` otherwise). `masks` is stored as
-    a read-only copy in which each ``masks[k]`` is x-fastest, like a
-    :class:`Volume3D`.
+    from overlapping per-structure delineations). ``masks[k]`` obeys a mask
+    :class:`Volume3D`'s rules; `spacing` and `origin` must be finite
+    (:class:`NonFiniteInput` otherwise). `masks` is stored as a read-only
+    copy in which each ``masks[k]`` is x-fastest, like a :class:`Volume3D`.
     """
 
     labels: LabelSet
@@ -263,6 +267,7 @@ class MultiLabelAnnotation:
             raise ValueError(
                 f"{masks.shape[0]} mask volumes for {len(self.labels)} labels"
             )
+        _check_values(masks, "mask")
         # C order over (label, z, y, x) is x-fastest within each label
         masks = masks.transpose(0, 3, 2, 1).astype(bool, order="C").transpose(0, 3, 2, 1)
         masks.setflags(write=False)

@@ -165,20 +165,11 @@ def dense_dirichlet(n_nodes: int, edges, seeds: dict, label_ids) -> np.ndarray:
 def dense_reference_solve(sys) -> np.ndarray:
     """Every label of a `DirichletSystem` by dense LAPACK factorization.
 
-    Solves L_U x = -B m for each label's one-hot seed indicator m, with no
-    closure; returns (n_unseeded, m) values, rows ordered like
-    `sys.unseeded` and columns like `sys.label_ids`.
+    Solves L_U x = -B e for each label's unit vector e (B summed per
+    label), with no closure; returns (n_unseeded, m) values, rows ordered
+    like `sys.unseeded` and columns like `sys.label_ids`.
     """
-    return np.linalg.solve(sys.L_U.toarray(), _one_hot_rhs(sys))
-
-
-def _one_hot_rhs(sys) -> np.ndarray:
-    """-B m for every label's one-hot seed indicator m, one column each."""
-    label_ids = sys.label_ids
-    n_s = sys.seed_voxels.size
-    M = np.zeros((n_s, len(label_ids)))
-    M[np.arange(n_s), np.searchsorted(label_ids, sys.seed_labels)] = 1.0
-    return -(sys.B @ M)
+    return np.linalg.solve(sys.L_U.toarray(), (-sys.B).toarray())
 
 
 def sparse_reference_solve(sys) -> np.ndarray:
@@ -190,7 +181,7 @@ def sparse_reference_solve(sys) -> np.ndarray:
     90 MB.
     """
     lu = splu(sys.L_U.tocsc(), permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
-    return lu.solve(_one_hot_rhs(sys))
+    return lu.solve((-sys.B).toarray())
 
 
 def argmax_labels(probs: Sequence[Volume3D] | np.ndarray, labels: LabelSet,

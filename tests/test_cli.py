@@ -14,6 +14,7 @@ from voxprop import (
     LabelSet,
     PropagationRequest,
     Volume3D,
+    dirichlet,
     nifti,
     propagate,
     read_annotation,
@@ -95,6 +96,26 @@ class TestPropagateCommand:
         inside = ph.roi.data
         agree = (hard.data[inside] == ph.truth.data[inside]).mean()
         assert agree > 0.95
+
+    def test_failed_island_factor_exits_3(self, tmp_path, phantom_files, monkeypatch, capsys):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("no room for the factor")
+
+        monkeypatch.setattr(dirichlet, "DIRECT_BLOCK_LIMIT", 0)
+        monkeypatch.setattr(dirichlet, "splu", out_of_memory)
+        code = run(
+            [
+                "propagate",
+                "--guidance", phantom_files["guidance"],
+                "--roi", phantom_files["roi"],
+                "--labels", phantom_files["labels"],
+                "--annotation", *phantom_files["annotation"],
+                "--out", tmp_path / "out",
+            ]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: sparse LU of the ") and "MemoryError" in err
 
     def test_soft_outputs(self, tmp_path, phantom_files):
         out = tmp_path / "out"

@@ -1,7 +1,9 @@
+import dataclasses
 import gc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from voxprop import (
     ConvergenceFailure,
@@ -24,6 +26,7 @@ from helpers import (
     brute_force_edges,
     brute_force_partition,
     dense_dirichlet,
+    dense_laplacian,
     dense_reference_solve,
     edge_components,
 )
@@ -83,10 +86,16 @@ class TestAssemble:
             )
             assert sys_.unseeded.tolist() == unseeded
             assert sys_.pocket_voxels.tolist() == pockets
-            assert sys_.seed_voxels.tolist() == sorted(seeds)
             assert (sys_.n_blocks, sys_.largest_block) == (n_blocks, largest)
             assert sys_.L_U.toarray().tobytes() == L_U.tobytes()
-            assert sys_.B.toarray().tobytes() == B.tobytes()
+            # the brute-force B has a column per seed; the system's sums them per label
+            label_ids = sorted(set(seeds.values()))
+            M = np.zeros((len(seeds), len(label_ids)))
+            for r, v in enumerate(sorted(seeds)):
+                M[r, label_ids.index(seeds[v])] = 1.0
+            assert sys_.label_ids == tuple(label_ids)
+            assert sys_.B.shape == (len(unseeded), len(label_ids))
+            np.testing.assert_array_max_ulp(sys_.B.toarray(), B @ M, maxulp=2)
             n_pockets += len(sys_.seedless_components)
         assert n_pockets > 0
 
@@ -97,10 +106,29 @@ class TestAssemble:
             assemble(make_intensity(np.zeros((1, 1, 3))), make_mask(roi), {1: 1}, 0.0)
 
     def test_array_seed_form(self):
-        sys_ = assemble(*uniform_chain(4), (np.array([3, 0]), np.array([2, 1])), 0.0)
-        # seeds sorted by voxel
-        assert sys_.seed_voxels.tolist() == [0, 3]
-        assert sys_.seed_labels.tolist() == [1, 2]
+        # unsorted arrays give the system that the mapping gives
+        arrays = assemble(*uniform_chain(4), (np.array([3, 0]), np.array([2, 1])), 0.0)
+        mapping = assemble(*uniform_chain(4), {0: 1, 3: 2}, 0.0)
+        for f in dataclasses.fields(mapping):
+            a, b = getattr(arrays, f.name), getattr(mapping, f.name)
+            if sp.issparse(a):
+                a, b = (a.data, a.indices, a.indptr), (b.data, b.indices, b.indptr)
+            else:
+                a, b = (a,), (b,)
+            assert all(np.array_equal(x, y) for x, y in zip(a, b)), f.name
+        assert mapping.B.toarray().tolist() == [[-1.0, 0.0], [0.0, -1.0]]
+
+    def test_seeds_of_one_label_on_both_sides(self, monkeypatch):
+        # voxel 1 lies between two label-1 seeds, so its row of B holds
+        # label 1's column twice; voxel 3 lies between labels 1 and 2
+        sys_ = assemble(*uniform_chain(5), {0: 1, 2: 1, 4: 2}, 0.0)
+        assert sys_.B.indices[sys_.B.indptr[0]:sys_.B.indptr[1]].tolist() == [0, 0]
+        assert sys_.B.toarray().tolist() == [[-2.0, 0.0], [-1.0, -1.0]]
+        for limit, route in ((dirichlet.DIRECT_BLOCK_LIMIT, "direct"), (0, "pcg")):
+            monkeypatch.setattr(dirichlet, "DIRECT_BLOCK_LIMIT", limit)
+            field = solve_all(sys_)
+            assert field.route == route
+            assert field.values.tolist() == [[1.0, 0.0], [0.5, 0.5]]
 
     def test_parity_splits_every_coupling(self, rng):
         # nx and ny both odd, then both even; rois with holes, several blocks
@@ -298,7 +326,7 @@ class TestSolveAll:
         unseeded = sys_.unseeded
         for col, lab in enumerate(sys_.label_ids):
             x = np.zeros(n_nodes)  # seeds one-hot, then the solved rows
-            x[sys_.seed_voxels] = sys_.seed_labels == lab
+            x[list(seeds)] = np.array(list(seeds.values())) == lab
             x[unseeded] = field.values[:, col]
             weighted = np.bincount(ei, w * x[ej], n_nodes)
             weighted += np.bincount(ej, w * x[ei], n_nodes)
@@ -488,8 +516,13 @@ class TestReducedRoute:
         sys_ = assemble(make_intensity(intensity), full_mask(dims), seeds, 5.0, labels)
         field = solve_all(sys_, rel_tol=rel_tol)
         d = sys_.L_U.diagonal()
+        # the full Laplacian's U rows: times a seed indicator, they give -b
+        n_nodes, _, edges = brute_force_edges(full_mask(dims).data, intensity, 5.0)
+        L_rows = dense_laplacian(n_nodes, edges)[sys_.unseeded]
         for k, stats in enumerate(field.stats[:-1]):
-            b = -(sys_.B @ (sys_.seed_labels == stats.label_id).astype(float))
+            m = np.zeros(n_nodes)
+            m[[v for v, lab in seeds.items() if lab == stats.label_id]] = 1.0
+            b = -(L_rows @ m)
             x = field.values[:, k]
             residual = np.linalg.norm((b - sys_.L_U @ x) / d) / np.linalg.norm(b / d)
             assert stats.iterations > 0
@@ -608,3 +641,13 @@ def test_island_tau_cuts_the_floored_edges(pcg_route, monkeypatch):
     assert field.n_islands == sys_.n_blocks == 1
     assert all(s.residual <= 1e-8 for s in field.stats)
     assert np.abs(field.values - ref).max() > 1e-3
+
+
+def test_failed_island_factor_is_a_convergence_failure(pcg_route, monkeypatch):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("no room for the factor")
+
+    sys_ = _floored_cluster_system(546)  # 2 islands
+    monkeypatch.setattr(dirichlet, "splu", out_of_memory)
+    with pytest.raises(ConvergenceFailure, match=r"2-island .*\(MemoryError: no room"):
+        solve_all(sys_)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 from voxprop import (
     DimMismatch,
@@ -95,12 +96,12 @@ class TestBuildLattice:
 
     def test_path_graph(self):
         sys_ = one_seed_system(make_intensity(np.zeros((1, 1, 3))), full_mask((1, 1, 3)), 1.0)
-        assert sys_.n_unseeded + sys_.seed_voxels.size == 3
+        assert sys_.n_unseeded + 1 == 3
         assert n_edges(sys_) == 2
 
     def test_full_box_counts(self):
         sys_ = one_seed_system(make_intensity(np.zeros((3, 3, 3))), full_mask((3, 3, 3)), 1.0)
-        assert sys_.n_unseeded + sys_.seed_voxels.size == 27
+        assert sys_.n_unseeded + 1 == 27
         assert n_edges(sys_) == 54  # 3 * (2*3*3) axis-aligned pairs
 
     def test_box_edge_count_formula(self, rng):
@@ -151,7 +152,7 @@ class TestBuildLattice:
         roi = np.ones((2, 2, 2), bool)
         roi[0, 0, 0] = False
         sys_ = one_seed_system(make_intensity(data), make_mask(roi), 1.0)
-        assert sys_.n_unseeded + sys_.seed_voxels.size == 7
+        assert sys_.n_unseeded + 1 == 7
         assert np.isfinite(sys_.L_U.data).all() and np.isfinite(sys_.B.data).all()
 
     def test_all_weights_in_unit_interval(self, rng):
@@ -170,23 +171,28 @@ class TestBuildLattice:
         assert np.allclose(edge_weights(s1), edge_weights(s2), rtol=1e-12)
 
 
+def graph(n, rows, cols):
+    """The n-node sparse graph with one entry per edge (rows[i], cols[i])."""
+    rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+    return csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
+
+
 class TestConnectedComponents:
     """`block_ids`, the components pass that numbers the blocks of L_U."""
 
     def test_path_single_component(self):
-        assert block_ids(4, np.array([0, 1, 2]), np.array([1, 2, 3])).tolist() == [0, 0, 0, 0]
+        assert block_ids(graph(4, [0, 1, 2], [1, 2, 3])).tolist() == [0, 0, 0, 0]
 
     def test_two_isolated(self):
-        none = np.empty(0, dtype=np.int64)
-        assert block_ids(2, none, none).tolist() == [0, 1]
+        assert block_ids(graph(2, [], [])).tolist() == [0, 1]
 
     def test_pair_plus_singleton_sizes(self):
-        comp = block_ids(3, np.array([0]), np.array([1]))
+        comp = block_ids(graph(3, [0], [1]))
         assert np.bincount(comp).tolist() == [2, 1]
 
     def test_ids_ordered_by_minimal_node(self):
         # a 5-path and a 2-path, edges listed from the larger node
-        comp = block_ids(7, np.array([1, 2, 3, 4, 6]), np.array([0, 1, 2, 3, 5]))
+        comp = block_ids(graph(7, [1, 2, 3, 4, 6], [0, 1, 2, 3, 5]))
         assert comp.tolist() == [0] * 5 + [1] * 2
         # node 0 alone, then nodes 1 and 3 joined, then node 2
-        assert block_ids(4, np.array([3]), np.array([1])).tolist() == [0, 1, 2, 1]
+        assert block_ids(graph(4, [3], [1])).tolist() == [0, 1, 2, 1]

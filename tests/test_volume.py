@@ -77,6 +77,36 @@ class TestVolume3D:
             )
 
 
+def one_mask_of(shape, value, dtype):
+    """Makers of a mask volume and a one-label annotation of `shape`, filled with `value`."""
+    data = np.full(shape, value, dtype=dtype)
+    return [lambda: Volume3D(data, "mask"),
+            lambda: MultiLabelAnnotation(LabelSet.from_ids([1]), data[None])]
+
+
+class TestMaskRule:
+    """One rule for a mask volume and for an annotation's masks."""
+
+    @pytest.mark.parametrize("value", [np.nan, 7.0, -1.0, 0.5])
+    def test_values_other_than_0_and_1_rejected(self, value):
+        for make in one_mask_of((3, 2, 2), value, np.float64):
+            with pytest.raises(ValueError, match="only 0 and 1"):
+                make()
+
+    @pytest.mark.parametrize("shape", [(0, 3, 3), (3, 0, 3), (3, 3, 0)])
+    def test_empty_axis_rejected(self, shape):
+        for make in one_mask_of(shape, 1, bool):
+            with pytest.raises(ValueError, match="all dims must be >= 1"):
+                make()
+
+    def test_zeros_and_ones_of_any_dtype_accepted(self):
+        for dtype in (np.float64, np.int64, np.uint8, bool):
+            data = (np.arange(12) % 2).reshape(3, 2, 2).astype(dtype)
+            assert np.array_equal(Volume3D(data, "mask").data, data.astype(bool))
+            ann = MultiLabelAnnotation(LabelSet.from_ids([1]), data[None])
+            assert np.array_equal(ann.masks[0], data.astype(bool))
+
+
 class TestLayout:
     @pytest.mark.parametrize("kind", ["intensity", "probability", "label", "mask"])
     def test_c_ordered_input_is_stored_x_fastest(self, kind):
