@@ -52,11 +52,15 @@ into islands, the components of the strong edges; where intensity jumps,
 nearly all weight sits inside the islands, the solution is nearly
 constant on each, and the near-null modes that slow plain CG (a strongly
 coupled cluster anchored through floored edges alone) are island
-indicators. With Z the indicators restricted to the o colour (one column
-per island that holds an o node) and E = Z^T S Z factored once per
-system, each label starts from x_0 = Z E^-1 Z^T b and every
-preconditioned residual is projected, z <- z - Z E^-1 (S Z)^T z, so CG
-runs on the complement of the island space. The number of islands is
+indicators. Z holds the indicators restricted to the o colour (one column
+per island that holds an o node), and E = Z^T S Z is factored once per
+system. Each label starts from x_0 = Z E^-1 Z^T b, and CG runs with the
+A-DEF2 preconditioner of Tang, Nabben, Vuik & Erlangga (J. Sci. Comput.
+2009), (I - Z E^-1 (S Z)^T) M^-1 + Z E^-1 Z^T with M = diag(S): the
+first term takes the island part out of the Jacobi step, the second adds
+the exact coarse solve of the residual back. That coarse term keeps the
+round-off in Z^T r from building up; left out, CG diverges on some
+systems. A step costs one solve with E. The number of islands is
 reported as `ProbabilityField.n_islands`.
 
 The solvers return one column per label; `voxprop.propagate` scatters
@@ -366,9 +370,10 @@ class _Reduction(NamedTuple):
 
     `e` (the larger colour) and `o` are rows of L_U, and W is -L_U[e, o].
     `e_inv` is 1 / diag(D_e), `d_o` is diag(D_o) and `s_inv` is 1 / diag(S).
-    `island[i]` is the column of Z holding o node i, `SZt` is (S Z)^T, stored
-    as CSR for the product that every CG step takes with it, and `E` the LU
-    factors of Z^T S Z.
+    `island[i]` is the column of Z holding o node i, so Z^T r is
+    bincount(island, r). `SZt` is (S Z)^T, stored as CSR for the product
+    that every A-DEF2 step takes with it, and `E` the LU factors of
+    Z^T S Z.
     """
 
     e: np.ndarray
@@ -419,27 +424,45 @@ def _reduce(sys: DirichletSystem) -> _Reduction:
     return _Reduction(e, o, W, e_inv, diag[o], 1.0 / s_diag, island, SZ.T.tocsr(), E)
 
 
-def _pcg(red: _Reduction, b, scale, rel_tol, iter_cap):
-    """Deflated Jacobi-preconditioned CG on S x = b; returns (x, iterations, residual).
+def _solve_one(sys: DirichletSystem, red: _Reduction, label: int, rel_tol: float, out):
+    """One label's x over `sys.unseeded` by deflated CG on S, written into `out`.
 
-    x starts as Z E^-1 Z^T b, which leaves Z^T r = 0, and each
-    preconditioned residual loses its part in the island space before it
-    extends the search direction. r = b - S x is the residual that the full
-    system has in the o rows after back-substitution, so the residual is
-    ||r / d_o|| / scale; the loop stops once it is <= rel_tol.
+    The right-hand side of S x_o = b is b_o + W^T D_e^-1 b_e. x_o starts as
+    Z E^-1 Z^T b, and every step preconditions the residual r = b - S x_o
+    with A-DEF2 (Tang, Nabben, Vuik & Erlangga, J. Sci. Comput. 2009):
+
+        z = M^-1 r - Z E^-1 ((S Z)^T M^-1 r - Z^T r),
+
+    M the diagonal of S. The back-substitution leaves the full system's
+    residual in the o rows alone, so the loop runs until ||r / d_o|| <=
+    rel_tol ||D^-1 b||. Returns the label's stats. A label with no seeds
+    gives zeros without iterating. Raises ConvergenceFailure, with the
+    achieved residual, at the iteration cap.
     """
-    W, Wt, SZt = red.W, red.W.T, red.SZt
-    y = red.E.solve(np.bincount(red.island, b, minlength=red.n_islands))
-    x = y[red.island]
+    b = -(sys.B @ np.eye(len(sys.label_ids))[sys.label_ids.index(label)])
+    if not b.any():
+        out[:] = 0.0
+        return LabelSolveStats(label, 0, 0.0)
+    W, Wt, SZt, island, k = red.W, red.W.T, red.SZt, red.island, red.n_islands
+    b_e = b[red.e]
+    t = b_e * red.e_inv
+    scale = np.hypot(np.linalg.norm(t), np.linalg.norm(b[red.o] / red.d_o))  # ||D^-1 b||
+    b = b[red.o] + Wt @ t
+    y = red.E.solve(np.bincount(island, b, minlength=k))
+    x = y[island]
     r = b - SZt.T @ y
-    z = red.s_inv * r
-    rz = float(r @ z)
-    z -= red.E.solve(SZt @ z)[red.island]
-    p = z.copy()
+    z = np.empty_like(r)
+    p = np.zeros_like(r)
+    rz = np.inf  # the first step's p is its z
     stop = rel_tol * scale
-    res = np.linalg.norm(r / red.d_o)
+    iter_cap = min(10 * sys.n_unseeded, MAX_ITERS_CAP)
     iters = 0
-    while res > stop and iters < iter_cap:
+    while (res := np.linalg.norm(r / red.d_o)) > stop and iters < iter_cap:
+        np.multiply(red.s_inv, r, out=z)
+        z -= red.E.solve(SZt @ z - np.bincount(island, r, minlength=k))[island]
+        rz_old, rz = rz, float(r @ z)
+        p *= rz / rz_old
+        p += z
         t = W @ p
         t *= red.e_inv
         Sp = red.d_o * p
@@ -454,34 +477,8 @@ def _pcg(red: _Reduction, b, scale, rel_tol, iter_cap):
         alpha = rz / pSp
         x += alpha * p
         r -= alpha * Sp
-        np.multiply(red.s_inv, r, out=z)
-        rz_new = float(r @ z)
-        z -= red.E.solve(SZt @ z)[red.island]
-        p *= rz_new / rz
-        p += z
-        rz = rz_new
-        res = np.linalg.norm(r / red.d_o)
         iters += 1
-    return x, iters, res / scale
-
-
-def _solve_one(sys: DirichletSystem, red: _Reduction, label: int, rel_tol: float, out):
-    """One label's x over `sys.unseeded` by PCG on S, written into `out`.
-
-    Returns the label's stats. A label with no seeds gives zeros without
-    iterating. Raises ConvergenceFailure, with the achieved residual, at the
-    iteration cap.
-    """
-    b = -(sys.B @ np.eye(len(sys.label_ids))[sys.label_ids.index(label)])
-    if not b.any():
-        out[:] = 0.0
-        return LabelSolveStats(label, 0, 0.0)
-    b_e = b[red.e]
-    b_o = b[red.o]
-    y = b_e * red.e_inv
-    scale = np.hypot(np.linalg.norm(y), np.linalg.norm(b_o / red.d_o))  # ||D^-1 b||
-    iter_cap = min(10 * sys.n_unseeded, MAX_ITERS_CAP)
-    x_o, iters, res = _pcg(red, b_o + red.W.T @ y, scale, rel_tol, iter_cap)
+    res /= scale
     if res > rel_tol:
         raise ConvergenceFailure(
             f"label {label}: residual {res:.3e} > rel_tol {rel_tol:.3e} "
@@ -489,8 +486,8 @@ def _solve_one(sys: DirichletSystem, red: _Reduction, label: int, rel_tol: float
             iterations=iters,
             residual=res,
         )
-    out[red.e] = (b_e + red.W @ x_o) * red.e_inv
-    out[red.o] = x_o
+    out[red.e] = (b_e + W @ x) * red.e_inv
+    out[red.o] = x
     return LabelSolveStats(label, iters, float(res))
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Mapping
 
 import numpy as np
 
@@ -59,10 +60,13 @@ class PhantomSpec:
     def from_dict(cls, d: dict) -> "PhantomSpec":
         try:
             blobs = tuple(
-                PhantomBlob(tuple(b["center"]), int(b["label_id"]), float(b["intensity"]))
+                PhantomBlob(tuple(float(c) for c in b["center"]), int(b["label_id"]),
+                            float(b["intensity"]))
                 for b in d["blobs"]
             )
             names = d.get("label_names")
+            if names is not None and not isinstance(names, Mapping):
+                raise TypeError(f"label_names must map ids to names, got {names!r}")
             return cls(
                 dims=tuple(int(v) for v in d["dims"]),
                 blobs=blobs,

@@ -499,9 +499,13 @@ class TestPhantomCommand:
         assert n_conflict / n_labeled == pytest.approx(0.2, abs=0.01)
 
     def test_bad_spec_exits_2(self, tmp_path):
-        spec_path = tmp_path / "spec.json"
-        spec_path.write_text("{broken")
-        assert run(["phantom", "--spec", spec_path, "--out", tmp_path / "o"]) == 2
+        # not JSON; a blob centre that is not numeric; label names as a list
+        bad_center = dict(SPEC_JSON, blobs=[dict(SPEC_JSON["blobs"][0], center=["a", 2, 2])])
+        for text in ("{broken", json.dumps(bad_center),
+                     json.dumps(dict(SPEC_JSON, label_names=["x"]))):
+            spec_path = tmp_path / "spec.json"
+            spec_path.write_text(text)
+            assert run(["phantom", "--spec", spec_path, "--out", tmp_path / "o"]) == 2
 
     def test_center_near_upper_edge_exits_0(self, tmp_path):
         spec = {

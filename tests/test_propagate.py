@@ -865,7 +865,7 @@ GOLDEN = {
         "35d1c28eaf121366afa256f1e17ab214fe00fbf1baf15d133d96256ab1f00a20",
     ),
     ("propagate", "anisotropic", "nearest_seed", "pcg"): (
-        "d6e7351377b1a8e112e8d2e745f4698407cfdeeb984496a937b7fc7b10e51070",
+        "90e2bc00dc8dc032f3368d14abbdcdada0dcbca0d906f6a7353920a413d99dba",
         "35d1c28eaf121366afa256f1e17ab214fe00fbf1baf15d133d96256ab1f00a20",
     ),
     ("propagate", "capped", "background", "direct"): (
