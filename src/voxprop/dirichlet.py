@@ -370,9 +370,9 @@ class _Reduction(NamedTuple):
 
     `e` (the larger colour) and `o` are rows of L_U, and W is -L_U[e, o].
     `e_inv` is 1 / diag(D_e), `d_o` is diag(D_o) and `s_inv` is 1 / diag(S).
-    `island[i]` is the column of Z holding o node i, so Z^T r is
-    bincount(island, r). `SZt` is (S Z)^T, stored as CSR for the product
-    that every A-DEF2 step takes with it, and `E` the LU factors of
+    `island[i]` is the column of Z holding o node i, so Z y is y[island].
+    `Zt` is Z^T and `SZt` is (S Z)^T, both stored as CSR for the products
+    that every A-DEF2 step takes with them, and `E` the LU factors of
     Z^T S Z.
     """
 
@@ -383,6 +383,7 @@ class _Reduction(NamedTuple):
     d_o: np.ndarray
     s_inv: np.ndarray
     island: np.ndarray
+    Zt: sp.csr_matrix
     SZt: sp.csr_matrix
     E: SuperLU
 
@@ -421,7 +422,7 @@ def _reduce(sys: DirichletSystem) -> _Reduction:
     except _SPLU_FAILURES as exc:
         raise ConvergenceFailure(f"sparse LU of the {n_islands}-island deflation space "
                                  f"failed ({type(exc).__name__}: {exc})") from exc
-    return _Reduction(e, o, W, e_inv, diag[o], 1.0 / s_diag, island, SZ.T.tocsr(), E)
+    return _Reduction(e, o, W, e_inv, diag[o], 1.0 / s_diag, island, Z.T.tocsr(), SZ.T.tocsr(), E)
 
 
 def _solve_one(sys: DirichletSystem, red: _Reduction, label: int, rel_tol: float, out):
@@ -443,12 +444,12 @@ def _solve_one(sys: DirichletSystem, red: _Reduction, label: int, rel_tol: float
     if not b.any():
         out[:] = 0.0
         return LabelSolveStats(label, 0, 0.0)
-    W, Wt, SZt, island, k = red.W, red.W.T, red.SZt, red.island, red.n_islands
+    W, Wt, Zt, SZt, island = red.W, red.W.T, red.Zt, red.SZt, red.island
     b_e = b[red.e]
     t = b_e * red.e_inv
     scale = np.hypot(np.linalg.norm(t), np.linalg.norm(b[red.o] / red.d_o))  # ||D^-1 b||
     b = b[red.o] + Wt @ t
-    y = red.E.solve(np.bincount(island, b, minlength=k))
+    y = red.E.solve(Zt @ b)
     x = y[island]
     r = b - SZt.T @ y
     z = np.empty_like(r)
@@ -459,7 +460,7 @@ def _solve_one(sys: DirichletSystem, red: _Reduction, label: int, rel_tol: float
     iters = 0
     while (res := np.linalg.norm(r / red.d_o)) > stop and iters < iter_cap:
         np.multiply(red.s_inv, r, out=z)
-        z -= red.E.solve(SZt @ z - np.bincount(island, r, minlength=k))[island]
+        z -= red.E.solve(SZt @ z - Zt @ r)[island]
         rz_old, rz = rz, float(r @ z)
         p *= rz / rz_old
         p += z
@@ -514,6 +515,11 @@ def solve_all(sys: DirichletSystem, rel_tol: float = 1e-8) -> ProbabilityField:
     n_unseeded, MAX_ITERS_CAP)`` steps. rel_tol must be finite
     (:class:`NonFiniteInput` otherwise) and positive; the direct route does
     not use it.
+
+    On the direct route a label's column is exact +0.0 on every block of
+    L_U that has no seed of that label: its right-hand side is zero there,
+    and the LU solve keeps it zero. `voxprop.propagate` writes only the
+    nonzero entries into the soft volumes and relies on this.
     """
     rel_tol = _check_rel_tol(rel_tol)
     label_ids = sys.label_ids

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from numbers import Real
 from pathlib import Path
 from typing import Mapping
 
@@ -60,15 +61,15 @@ class PhantomSpec:
     def from_dict(cls, d: dict) -> "PhantomSpec":
         try:
             blobs = tuple(
-                PhantomBlob(tuple(float(c) for c in b["center"]), int(b["label_id"]),
-                            float(b["intensity"]))
+                PhantomBlob(tuple(float(c) for c in b["center"]),
+                            _whole(b["label_id"], "label_id"), float(b["intensity"]))
                 for b in d["blobs"]
             )
             names = d.get("label_names")
             if names is not None and not isinstance(names, Mapping):
                 raise TypeError(f"label_names must map ids to names, got {names!r}")
             return cls(
-                dims=tuple(int(v) for v in d["dims"]),
+                dims=tuple(_whole(v, "dims") for v in d["dims"]),
                 blobs=blobs,
                 roi_semiaxes=(
                     tuple(float(v) for v in d["roi_semiaxes"])
@@ -78,8 +79,8 @@ class PhantomSpec:
                 noise_sigma=float(d.get("noise_sigma", 0.0)),
                 unlabeled_fraction=float(d.get("unlabeled_fraction", 0.0)),
                 conflict_fraction=float(d.get("conflict_fraction", 0.0)),
-                keep_blob_centers=bool(d.get("keep_blob_centers", True)),
-                seed=int(d.get("seed", 0)),
+                keep_blob_centers=_flag(d.get("keep_blob_centers", True), "keep_blob_centers"),
+                seed=_whole(d.get("seed", 0), "seed"),
                 spacing=tuple(float(v) for v in d.get("spacing", (1.0, 1.0, 1.0))),
                 label_names={int(k): str(v) for k, v in names.items()} if names else None,
             )
@@ -93,6 +94,22 @@ class PhantomSpec:
         except (OSError, json.JSONDecodeError) as exc:
             raise BadSpec(f"cannot load phantom spec {path}: {exc}") from exc
         return cls.from_dict(d)
+
+
+def _whole(v, what: str) -> int:
+    """A spec number that must be an integer, such as 8 or 8.0 but not 8.7."""
+    if isinstance(v, bool) or not isinstance(v, Real):
+        raise TypeError(f"{what} must be an integer, got {v!r}")
+    if not float(v).is_integer():
+        raise ValueError(f"{what} must be an integer, got {v!r}")
+    return int(v)
+
+
+def _flag(v, what: str) -> bool:
+    """A spec value that must be a JSON boolean: the string "false" is not one."""
+    if not isinstance(v, bool):
+        raise TypeError(f"{what} must be true or false, got {v!r}")
+    return v
 
 
 @dataclass(frozen=True)

@@ -261,13 +261,21 @@ def _propagate(req: PropagationRequest, regions: tuple[Volume3D, ...], where: st
         hard[voxels] = ids[cols]
 
     # a filled voxel is one-hot in its hard label; solved rows then overwrite
-    # the 1.0 written where their argmax is k. Zeros, not a full-grid write,
-    # leave the pages outside the labeled region unmapped.
+    # the 1.0 written where their argmax is k, which is never a zero since
+    # each row sums to 1. Only entries whose bits are nonzero are written:
+    # the rest are +0.0, which np.zeros already holds (every direct-route
+    # block without a seed of label k, see `solve_all`), and a -0.0 is
+    # still written, so the volume equals a full scatter. A soft volume
+    # thus costs the pages of its label's one-hot fill and of its nonzero
+    # solved entries. numpy asks for huge pages on arrays of 4 MB or more,
+    # so where the kernel grants them each touched 2 MB granule is resident.
     def soft_volume(k: int) -> Volume3D:
         flat = np.zeros(roi.n_voxels)
         np.copyto(flat, 1.0, where=hard == ids[k])
         for voxels, values in solved:
-            flat[voxels] = values[:, k]
+            col = values[:, k]
+            held = col.view(np.uint64) != 0
+            flat[voxels[held]] = col[held]
         return _volume(flat, roi, "probability")
 
     return soft_volume, _volume(hard, roi, "label"), reports, run

@@ -499,10 +499,17 @@ class TestPhantomCommand:
         assert n_conflict / n_labeled == pytest.approx(0.2, abs=0.01)
 
     def test_bad_spec_exits_2(self, tmp_path):
-        # not JSON; a blob centre that is not numeric; label names as a list
-        bad_center = dict(SPEC_JSON, blobs=[dict(SPEC_JSON["blobs"][0], center=["a", 2, 2])])
+        # not JSON; a blob centre that is not numeric; label names as a list;
+        # fractional dims, label id or seed; a flag given as a string
+        blob = SPEC_JSON["blobs"][0]
+        bad_center = dict(SPEC_JSON, blobs=[dict(blob, center=["a", 2, 2])])
+        bad_label = dict(SPEC_JSON, blobs=[dict(blob, label_id=1.9), SPEC_JSON["blobs"][1]])
         for text in ("{broken", json.dumps(bad_center),
-                     json.dumps(dict(SPEC_JSON, label_names=["x"]))):
+                     json.dumps(dict(SPEC_JSON, label_names=["x"])),
+                     json.dumps(dict(SPEC_JSON, dims=[14.7, 14, 14])),
+                     json.dumps(bad_label),
+                     json.dumps(dict(SPEC_JSON, seed=1.5)),
+                     json.dumps(dict(SPEC_JSON, keep_blob_centers="false"))):
             spec_path = tmp_path / "spec.json"
             spec_path.write_text(text)
             assert run(["phantom", "--spec", spec_path, "--out", tmp_path / "o"]) == 2

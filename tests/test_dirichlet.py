@@ -4,6 +4,7 @@ import gc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from voxprop import (
     ConvergenceFailure,
@@ -437,6 +438,28 @@ class TestSolveAll:
             assert all(s.iterations == 0 and not s.closure for s in field.stats)
             assert np.abs(field.values - dense_reference_solve(sys_)).max() <= 1e-12
             assert np.abs(field.values.sum(axis=1) - 1.0).max() <= 1e-12
+
+    def test_direct_route_is_positive_zero_off_a_labels_blocks(self, rng):
+        # the soft-volume writer skips entries whose bits are all zero, so a
+        # block with no seed of label k must hold exact +0.0 in column k
+        intensity = rng.random((10, 9, 8))
+        roi = rng.random(intensity.shape) < 0.6
+        voxels = np.flatnonzero(roi.ravel(order="F"))
+        nodes = rng.choice(voxels, size=voxels.size // 5, replace=False)
+        seeds = {int(n): int(rng.integers(1, 5)) for n in nodes}
+        labels = LabelSet.from_ids([1, 2, 3, 4])
+        sys_ = assemble(make_intensity(intensity), make_mask(roi), seeds, 10.0, labels)
+        field = solve_all(sys_)
+        assert field.route == "direct"
+        _, block = connected_components(sys_.L_U, directed=False)
+        couplings = sys_.B.tocoo()
+        seeded = np.zeros((block.max() + 1, len(labels)), dtype=bool)
+        seeded[block[couplings.row], couplings.col] = True  # block c touches a seed of label k
+        off = ~seeded[block]
+        assert off.any() and not off.all()
+        assert not field.values[off].any()
+        assert not np.signbit(field.values[off]).any()
+        assert (field.values[~off] > 0).all()
 
     def test_route_follows_the_largest_block(self, monkeypatch):
         sys_ = assemble(*uniform_chain(12), {0: 1, 11: 2}, 0.0)

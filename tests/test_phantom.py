@@ -205,6 +205,33 @@ class TestSpecSerialization:
         with pytest.raises(BadSpec):
             PhantomSpec.from_json(path)
 
+    SPEC = {"dims": [8, 8, 8], "blobs": [{"center": [2, 2, 2], "label_id": 1, "intensity": 0.5}],
+            "seed": 1}
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            {"dims": [8.7, 8, 8]},
+            {"dims": ["8", 8, 8]},
+            {"seed": 1.5},
+            {"seed": True},
+            {"blobs": [{"center": [2, 2, 2], "label_id": 1.9, "intensity": 0.5}]},
+            {"keep_blob_centers": "false"},
+            {"keep_blob_centers": 0},
+        ],
+        ids=["fractional-dims", "string-dims", "fractional-seed", "boolean-seed",
+             "fractional-label", "string-flag", "integer-flag"],
+    )
+    def test_inexact_types_raise_bad_spec(self, kw):
+        # int() and bool() would load these as a different phantom
+        with pytest.raises(BadSpec):
+            PhantomSpec.from_dict(dict(self.SPEC, **kw))
+
+    def test_integral_floats_load(self):
+        spec = PhantomSpec.from_dict(dict(self.SPEC, dims=[8.0, 8, 8], seed=3.0))
+        assert spec.dims == (8, 8, 8) and spec.seed == 3
+        assert all(type(v) is int for v in (*spec.dims, spec.seed))
+
 
 class TestMonotoneTrust:
     def test_dice_never_drops_as_beta_grows(self):

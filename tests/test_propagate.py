@@ -942,6 +942,50 @@ def test_soft_volumes_match_a_per_fill_oracle():
         assert vol.data.ravel(order="F").tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("route", ["direct", "pcg"])
+@pytest.mark.parametrize(
+    "entry, spec_name, policy",
+    [
+        ("propagate", "anisotropic", "nearest_seed"),
+        ("propagate", "capped", "background"),
+        ("propagate", "capped", "nearest_seed"),
+        ("bilateral", "capped", "background"),
+        ("bilateral", "capped", "nearest_seed"),
+    ],
+)
+def test_soft_volumes_match_a_full_scatter(entry, spec_name, policy, route, monkeypatch):
+    # the writer skips solved entries that are +0.0; a reference that is
+    # one-hot in the hard label and then writes every solved row must agree
+    # bit for bit
+    if route == "pcg":
+        monkeypatch.setattr(dirichlet, "DIRECT_BLOCK_LIMIT", 0)
+    module = sys.modules["voxprop.propagate"]
+    solve_all, solved = module.solve_all, []
+
+    def recording(system, rel_tol):
+        field_ = solve_all(system, rel_tol)
+        solved.append((system.unseeded, field_.values))
+        return field_
+
+    monkeypatch.setattr(module, "solve_all", recording)
+    res = golden_run(entry, spec_name, policy)
+    regions = res.report["hemispheres"] if entry == "bilateral" else [res.report]
+    assert {r["route"] for r in regions} == {route}
+    if spec_name == "capped":
+        assert all(r["n_seedless_voxels"] > 0 for r in regions)
+        assert entry == "propagate" or res.report["n_gap_voxels"] > 0
+    if route == "direct":
+        assert any((values == 0).any() for _, values in solved)
+
+    hard = res.hard.data.ravel(order="F")
+    for label_id, vol in zip(res.labels.ids, res.soft):
+        want = np.zeros(hard.size)
+        want[hard == label_id] = 1.0
+        for voxels, values in solved:
+            want[voxels] = values[:, res.labels.ids.index(label_id)]
+        assert vol.data.ravel(order="F").tobytes() == want.tobytes()
+
+
 def golden_digests(res):
     soft = b"".join(v.data.tobytes() for v in res.soft)
     return hashlib.sha256(soft).hexdigest(), hashlib.sha256(res.hard.data.tobytes()).hexdigest()
