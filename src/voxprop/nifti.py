@@ -4,10 +4,13 @@ Supported files are uncompressed little-endian ``.nii`` (magic ``n+1\\0``),
 3D only, with datatype uint8, int16, float32, or uint16. Nothing else:
 no ``.hdr``/``.img`` pairs, no gzip, no NIfTI-2, no time series.
 
-The writer is canonical: a given volume always produces the same bytes
-(fixed header defaults, qform code 0, sform code 1 with a diagonal affine
-built from spacing and origin, vox_offset 352, zero extension pad). This
-makes golden-file tests and write-read-write byte identity possible.
+The 348-byte header is one numpy record whose fields carry the NIfTI-1
+names in on-disk order. The writer is canonical: a given volume always
+produces the same bytes (fixed header defaults, qform code 0, sform code 1
+with a diagonal affine built from spacing and origin, vox_offset 352, zero
+extension pad). This makes golden-file tests and write-read-write byte
+identity possible. The writer raises ValueError for geometry that float32
+cannot hold: a spacing that rounds to 0 or inf, an origin that rounds to inf.
 
 Element kinds map to file datatypes as
 
@@ -24,7 +27,6 @@ mask           2 uint8     8
 from __future__ import annotations
 
 import logging
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -48,11 +50,23 @@ DATA_OFFSET = 352  # header + 4-byte extension indicator
 
 MAGIC_SINGLE = b"n+1\x00"
 
-# little-endian NIfTI-1 header, fields in on-disk order
-_HDR = struct.Struct(
-    "<i10s18sihcc8h3fhhhh8ffffhBBffffii80s24shh3f3f4f4f4f16s4s"
-)
-assert _HDR.size == HEADER_SIZE
+# little-endian NIfTI-1 header, fields in on-disk order; the arrays hold the
+# numbered fields (intent_p1..p3, quatern_b..d, qoffset_x..z, srow_x..z), and
+# magic is raw bytes because an "S4" field would drop its trailing NUL
+_HDR = np.dtype([
+    ("sizeof_hdr", "<i4"), ("data_type", "S10"), ("db_name", "S18"),
+    ("extents", "<i4"), ("session_error", "<i2"), ("regular", "u1"), ("dim_info", "u1"),
+    ("dim", "<i2", 8), ("intent_p", "<f4", 3), ("intent_code", "<i2"),
+    ("datatype", "<i2"), ("bitpix", "<i2"), ("slice_start", "<i2"),
+    ("pixdim", "<f4", 8), ("vox_offset", "<f4"), ("scl_slope", "<f4"), ("scl_inter", "<f4"),
+    ("slice_end", "<i2"), ("slice_code", "u1"), ("xyzt_units", "u1"),
+    ("cal_max", "<f4"), ("cal_min", "<f4"), ("slice_duration", "<f4"), ("toffset", "<f4"),
+    ("glmax", "<i4"), ("glmin", "<i4"), ("descrip", "S80"), ("aux_file", "S24"),
+    ("qform_code", "<i2"), ("sform_code", "<i2"),
+    ("quatern", "<f4", 3), ("qoffset", "<f4", 3), ("srow", "<f4", (3, 4)),
+    ("intent_name", "S16"), ("magic", "V4"),
+])
+assert _HDR.itemsize == HEADER_SIZE
 
 DT_UINT8 = 2
 DT_INT16 = 4
@@ -110,31 +124,27 @@ class NiftiHeader:
 def _unpack_header(buf: bytes) -> NiftiHeader:
     if len(buf) < HEADER_SIZE:
         raise TruncatedFile(f"file has {len(buf)} bytes, header needs {HEADER_SIZE}")
-    f = _HDR.unpack_from(buf)
-    sizeof_hdr = f[0]
-    if sizeof_hdr != HEADER_SIZE:
+    h = np.frombuffer(buf, _HDR, count=1)[0]
+    if h["sizeof_hdr"] != HEADER_SIZE:
         raise BadMagic(
-            f"sizeof_hdr is {sizeof_hdr}, not {HEADER_SIZE}; "
+            f"sizeof_hdr is {h['sizeof_hdr']}, not {HEADER_SIZE}; "
             "not a little-endian NIfTI-1 file"
         )
-    # unpacked field indices: 0 sizeof_hdr .. 6 dim_info, 7-14 dim[8],
-    # 15-17 intent_p, 18 intent_code, 19 datatype, 20 bitpix, 21 slice_start,
-    # 22-29 pixdim[8], 30 vox_offset, 31 scl_slope, 32 scl_inter,
-    # 44 qform_code, 45 sform_code, 52-63 srow, 65 magic
+    srow = h["srow"].tolist()
     return NiftiHeader(
-        dim=tuple(int(d) for d in f[7:15]),
-        datatype=int(f[19]),
-        bitpix=int(f[20]),
-        pixdim=tuple(float(p) for p in f[22:30]),
-        vox_offset=float(f[30]),
-        scl_slope=float(f[31]),
-        scl_inter=float(f[32]),
-        srow_x=tuple(float(v) for v in f[52:56]),
-        srow_y=tuple(float(v) for v in f[56:60]),
-        srow_z=tuple(float(v) for v in f[60:64]),
-        qform_code=int(f[44]),
-        sform_code=int(f[45]),
-        magic=f[65],
+        dim=tuple(h["dim"].tolist()),
+        datatype=int(h["datatype"]),
+        bitpix=int(h["bitpix"]),
+        pixdim=tuple(h["pixdim"].tolist()),
+        vox_offset=float(h["vox_offset"]),
+        scl_slope=float(h["scl_slope"]),
+        scl_inter=float(h["scl_inter"]),
+        srow_x=tuple(srow[0]),
+        srow_y=tuple(srow[1]),
+        srow_z=tuple(srow[2]),
+        qform_code=int(h["qform_code"]),
+        sform_code=int(h["sform_code"]),
+        magic=h["magic"].tobytes(),
     )
 
 
@@ -242,6 +252,9 @@ def write_volume(v: Volume3D, path) -> None:
 
     Raises
     ------
+    ValueError
+        Before the file is opened, if a dim does not fit in int16, or if a
+        spacing rounds to 0 or inf in float32 or an origin to inf.
     IoFailure
         If the file cannot be created or written.
     """
@@ -249,41 +262,26 @@ def write_volume(v: Volume3D, path) -> None:
     if max(dims) > np.iinfo(np.int16).max:
         raise ValueError(f"dims {dims} do not fit in the int16 header fields")
     datatype = _KIND_DATATYPE[v.kind]
-    sx, sy, sz = v.spacing
-    ox, oy, oz = v.origin
-    header = _HDR.pack(
-        HEADER_SIZE,                      # sizeof_hdr
-        b"", b"",                         # data_type, db_name (unused)
-        0, 0, b"\x00", b"\x00",           # extents, session_error, regular, dim_info
-        3, dims[0], dims[1], dims[2], 1, 1, 1, 1,   # dim[8]
-        0.0, 0.0, 0.0,                    # intent_p1..p3
-        0,                                # intent_code
-        datatype,
-        8 * _SUPPORTED_DTYPES[datatype].itemsize,  # bitpix
-        0,                                # slice_start
-        1.0, sx, sy, sz, 0.0, 0.0, 0.0, 0.0,        # pixdim[8]
-        float(DATA_OFFSET),               # vox_offset
-        1.0, 0.0,                         # scl_slope, scl_inter
-        0,                                # slice_end
-        0,                                # slice_code
-        _XYZT_UNITS_MM,                   # xyzt_units
-        0.0, 0.0,                         # cal_max, cal_min
-        0.0, 0.0,                         # slice_duration, toffset
-        0, 0,                             # glmax, glmin
-        b"", b"",                         # descrip, aux_file
-        0, 1,                             # qform_code, sform_code
-        0.0, 0.0, 0.0,                    # quatern_b, c, d
-        0.0, 0.0, 0.0,                    # qoffset_x, y, z
-        sx, 0.0, 0.0, ox,                 # srow_x
-        0.0, sy, 0.0, oy,                 # srow_y
-        0.0, 0.0, sz, oz,                 # srow_z
-        b"",                              # intent_name
-        MAGIC_SINGLE,
-    )
+    h = np.zeros((), _HDR)  # every field not set below is zero
+    with np.errstate(over="ignore"):  # an overflow to inf is rejected below
+        h["pixdim"][:4] = (1.0, *v.spacing)
+        h["srow"][:, :3] = np.diag(v.spacing)
+        h["srow"][:, 3] = v.origin
+    if not (np.isfinite(h["srow"]).all() and h["pixdim"][1:4].all()):
+        raise ValueError(f"spacing {v.spacing} or origin {v.origin} does not fit in float32")
+    h["sizeof_hdr"] = HEADER_SIZE
+    h["dim"] = (3, *dims, 1, 1, 1, 1)
+    h["datatype"] = datatype
+    h["bitpix"] = 8 * _SUPPORTED_DTYPES[datatype].itemsize
+    h["vox_offset"] = DATA_OFFSET
+    h["scl_slope"] = 1.0
+    h["xyzt_units"] = _XYZT_UNITS_MM
+    h["sform_code"] = 1
+    h["magic"] = MAGIC_SINGLE
     payload = v.data.astype(_SUPPORTED_DTYPES[datatype]).tobytes(order="F")
     try:
         with open(path, "wb") as fp:
-            fp.write(header)
+            fp.write(h.tobytes())
             fp.write(b"\x00" * (DATA_OFFSET - HEADER_SIZE))
             fp.write(payload)
     except OSError as exc:

@@ -82,7 +82,11 @@ class PhantomSpec:
                 keep_blob_centers=_flag(d.get("keep_blob_centers", True), "keep_blob_centers"),
                 seed=_whole(d.get("seed", 0), "seed"),
                 spacing=tuple(float(v) for v in d.get("spacing", (1.0, 1.0, 1.0))),
-                label_names={int(k): str(v) for k, v in names.items()} if names else None,
+                label_names=(  # JSON keys are strings
+                    {int(k) if isinstance(k, str) else _whole(k, "label_names key"): str(v)
+                     for k, v in names.items()}
+                    if names else None
+                ),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise BadSpec(f"malformed phantom spec: {exc}") from exc

@@ -498,9 +498,10 @@ class TestPhantomCommand:
         n_conflict = int((left & right).sum())
         assert n_conflict / n_labeled == pytest.approx(0.2, abs=0.01)
 
-    def test_bad_spec_exits_2(self, tmp_path):
+    def test_bad_spec_exits_2(self, tmp_path, capsys):
         # not JSON; a blob centre that is not numeric; label names as a list;
-        # fractional dims, label id or seed; a flag given as a string
+        # fractional dims, label id or seed; a flag given as a string; a
+        # spacing that the header's float32 holds as inf or 0
         blob = SPEC_JSON["blobs"][0]
         bad_center = dict(SPEC_JSON, blobs=[dict(blob, center=["a", 2, 2])])
         bad_label = dict(SPEC_JSON, blobs=[dict(blob, label_id=1.9), SPEC_JSON["blobs"][1]])
@@ -509,10 +510,14 @@ class TestPhantomCommand:
                      json.dumps(dict(SPEC_JSON, dims=[14.7, 14, 14])),
                      json.dumps(bad_label),
                      json.dumps(dict(SPEC_JSON, seed=1.5)),
-                     json.dumps(dict(SPEC_JSON, keep_blob_centers="false"))):
+                     json.dumps(dict(SPEC_JSON, keep_blob_centers="false")),
+                     json.dumps(dict(SPEC_JSON, spacing=[1e39, 1, 1])),
+                     json.dumps(dict(SPEC_JSON, spacing=[1, 1e-50, 1]))):
             spec_path = tmp_path / "spec.json"
             spec_path.write_text(text)
             assert run(["phantom", "--spec", spec_path, "--out", tmp_path / "o"]) == 2
+            assert capsys.readouterr().err.startswith("error:")
+            assert not list(tmp_path.glob("o/*.nii"))
 
     def test_center_near_upper_edge_exits_0(self, tmp_path):
         spec = {

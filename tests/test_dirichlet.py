@@ -709,3 +709,13 @@ def test_deflated_cg_converges_on_sparse_seeds(seed, rel_tol, monkeypatch):
     assert field.route == "pcg"
     assert sum(s.iterations for s in field.stats) <= 527
     assert np.abs(field.values - sparse_reference_solve(sys_)).max() <= 1e-6
+
+
+def test_true_residual_decides_convergence(monkeypatch):
+    """At 1e-15 the recursive residual of this system meets rel_tol while
+    the true one, b - S x, is about 4 times rel_tol: round-off in the
+    recursion. The label is judged on the true residual and fails."""
+    monkeypatch.setattr(dirichlet, "MAX_ITERS_CAP", 2000)
+    with pytest.raises(ConvergenceFailure) as exc:
+        solve_all(_half_sparse_system(7), rel_tol=1e-15)
+    assert exc.value.residual > 1e-15

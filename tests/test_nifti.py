@@ -1,3 +1,4 @@
+import hashlib
 import struct
 
 import numpy as np
@@ -57,6 +58,41 @@ def test_write_read_write_byte_identical(tmp_path, kind):
     write_volume(v, p1)
     write_volume(read_volume(p1, kind), p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+# sha256 of the file each kind writes; intensity and probability share a
+# datatype and a generator, so they give the same bytes
+_GOLDEN_SHA256 = {
+    "intensity": "abda361fa5bbc6ec8d76a4af90deb3b2095ea3810de5c399ff66b39d4ab3e516",
+    "probability": "abda361fa5bbc6ec8d76a4af90deb3b2095ea3810de5c399ff66b39d4ab3e516",
+    "label": "9afc72728b5be51acea99a53f1f722f5a1a7b390e9d17163e4510508265f73f8",
+    "mask": "9bb4ca833e2d58f135d98325a071fa6a823c9029e800af549d1f733d6dbe0def",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_GOLDEN_SHA256))
+def test_written_bytes_are_pinned(tmp_path, kind):
+    # a layout slip that reads back consistently passes the round trips,
+    # so pin the bytes; the geometry does not round to float32 exactly
+    v = _volume(kind, spacing=(0.1, 0.3, 1.7), origin=(-12.345678901, 3e20, 1e-30))
+    path = tmp_path / "v.nii"
+    write_volume(v, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == _GOLDEN_SHA256[kind]
+
+
+@pytest.mark.parametrize(
+    "geometry",
+    [{"spacing": (1e39, 1.0, 1.0)}, {"spacing": (1.0, 1e-50, 1.0)},
+     {"origin": (0.0, 0.0, -1e39)}],
+    ids=["spacing-inf", "spacing-zero", "origin-inf"],
+)
+def test_geometry_float32_cannot_hold_rejected(tmp_path, geometry):
+    # rounded to the header's float32 these are inf or 0; a zero spacing
+    # would be written and then refused by the reader
+    path = tmp_path / "v.nii"
+    with pytest.raises(ValueError, match="float32"):
+        write_volume(_volume("mask", **geometry), path)
+    assert not path.exists()
 
 
 def test_file_sizes(tmp_path):

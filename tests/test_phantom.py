@@ -218,9 +218,12 @@ class TestSpecSerialization:
             {"blobs": [{"center": [2, 2, 2], "label_id": 1.9, "intensity": 0.5}]},
             {"keep_blob_centers": "false"},
             {"keep_blob_centers": 0},
+            {"label_names": {1.9: "A"}},
+            {"label_names": {True: "A"}},
         ],
         ids=["fractional-dims", "string-dims", "fractional-seed", "boolean-seed",
-             "fractional-label", "string-flag", "integer-flag"],
+             "fractional-label", "string-flag", "integer-flag", "fractional-name-key",
+             "boolean-name-key"],
     )
     def test_inexact_types_raise_bad_spec(self, kw):
         # int() and bool() would load these as a different phantom
@@ -231,6 +234,12 @@ class TestSpecSerialization:
         spec = PhantomSpec.from_dict(dict(self.SPEC, dims=[8.0, 8, 8], seed=3.0))
         assert spec.dims == (8, 8, 8) and spec.seed == 3
         assert all(type(v) is int for v in (*spec.dims, spec.seed))
+
+    @pytest.mark.parametrize("key", ["1", 1, 1.0])
+    def test_integral_name_keys_load(self, key):
+        spec = PhantomSpec.from_dict(dict(self.SPEC, label_names={key: "A"}))
+        assert spec.label_names == {1: "A"} and type(next(iter(spec.label_names))) is int
+        assert spec.label_set().names == ("A",)
 
 
 class TestMonotoneTrust:
