@@ -44,7 +44,6 @@ def cmd_propagate(args) -> int:
         roi=roi,
         annotation=annotation,
         beta=args.beta,
-        rel_tol=args.tol,
         seedless_policy=args.policy,
     )
     soft_volume, hard, report = _propagate_roi(req)
@@ -152,7 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--policy", default="nearest_seed",
         choices=("nearest_seed", "background", "error"),
     )
-    pp.add_argument("--tol", type=float, default=1e-8)
     pp.add_argument("--soft", action="store_true", help="also write per-label prob_*.nii")
     pp.set_defaults(func=cmd_propagate)
 

@@ -42,9 +42,9 @@ for Sparse Linear Systems, sec. 4.3)
 which is SPD and is solved by CG with S's own diagonal as the Jacobi
 preconditioner; S is applied as two products with W and never formed.
 The back-substitution leaves the e rows with no residual, so the full
-system's Jacobi residual ||D^-1 (b - L_U x)|| is ||r_o / d_o||: the
-stopping rule of `solve_all` (its `rel_tol`) is tested on that, and a
-label's reported iterations count steps of CG on S.
+system's Jacobi residual ||D^-1 (b - L_U x)|| is ||r_o / d_o||: CG stops
+once that is at most `CG_ATOL`, and a label's reported iterations count
+steps of CG on S.
 
 The CG is deflated by islands (Saad, Yeung, Erhel & Guyomarc'h, SIAM J.
 Sci. Comput. 2000). Edges of weight at most `ISLAND_TAU` cut L_U's graph
@@ -105,26 +105,22 @@ DIRECT_BLOCK_LIMIT = 4096
 #: edges always cut; far below the weights inside a smooth region.
 ISLAND_TAU = 1e-3
 
+#: Absolute Jacobi residual ||D^-1 (b - L_U x)|| at which a label's CG stops:
+#: an estimate of its max error to an exact solve, not a bound.
+CG_ATOL = 5e-8
+
 #: What a failed sparse LU raises: SuperLU reports a failed allocation as
 #: MemoryError or as "SystemError: gstrf was called with invalid arguments".
 _SPLU_FAILURES = (MemoryError, RuntimeError, SystemError)
 
 
-def _check_rel_tol(rel_tol: float) -> float:
-    rel_tol = float(rel_tol)
-    if not np.isfinite(rel_tol):
-        raise NonFiniteInput(f"rel_tol is {rel_tol}")
-    if rel_tol <= 0:
-        raise ValueError(f"rel_tol must be > 0, got {rel_tol}")
-    return rel_tol
-
-
 @dataclass(frozen=True)
 class LabelSolveStats:
-    """Per-label iteration count and achieved relative residual.
+    """Per-label iteration count and achieved residual.
 
     `iterations` counts CG steps on the reduced system; `residual` is the
-    full system's relative Jacobi residual that `solve_all`'s rel_tol bounds.
+    full system's absolute Jacobi residual, at most `CG_ATOL` on the PCG
+    route: an estimate of the label's error, not a bound on it.
     """
 
     label_id: int
@@ -202,16 +198,22 @@ class ProbabilityField:
         return self.values[:, self.label_ids.index(int(label_id))]
 
 
+def _whole_ids(values, what: str) -> np.ndarray:
+    """`values` as int64, refusing what a cast would change: booleans, fractions."""
+    arr = np.asarray(values)
+    # numpy reads a list such as [True, 3] as integers, so its items are checked
+    bools = not isinstance(values, np.ndarray) and any(
+        isinstance(v, (bool, np.bool_)) for v in values)
+    with np.errstate(invalid="ignore"):  # nan, inf and huge floats fail array_equal
+        ids = arr.astype(np.int64, copy=False) if arr.dtype.kind in "iuf" or not arr.size else None
+    if bools or ids is None or not np.array_equal(ids, arr):
+        raise ValueError(f"{what} must be whole numbers, not booleans, strings or fractions")
+    return ids
+
+
 def _coerce_seeds(seeds) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(seeds, Mapping):
-        if not seeds:
-            return np.empty(0, np.int64), np.empty(0, np.int64)
-        nodes = np.fromiter(seeds.keys(), dtype=np.int64, count=len(seeds))
-        labels = np.fromiter(seeds.values(), dtype=np.int64, count=len(seeds))
-    else:
-        nodes, labels = seeds
-        nodes = np.asarray(nodes, dtype=np.int64)
-        labels = np.asarray(labels, dtype=np.int64)
+    nodes, labels = (list(seeds), list(seeds.values())) if isinstance(seeds, Mapping) else seeds
+    nodes, labels = _whole_ids(nodes, "seed voxels"), _whole_ids(labels, "seed labels")
     if nodes.shape != labels.shape:
         raise ValueError("seed nodes and labels must have equal length")
     return nodes, labels
@@ -272,7 +274,8 @@ def assemble(
         If no seed is given.
     ValueError
         If guidance is not an intensity volume or roi not a mask, beta is
-        negative, or a seed is out of range, outside the roi, repeated or
+        negative, or a seed voxel or label is a boolean or not a whole
+        number, or a seed is out of range, outside the roi, repeated or
         labelled outside `labels` or with an id <= 0.
     """
     if guidance.kind != "intensity":
@@ -425,7 +428,7 @@ def _reduce(sys: DirichletSystem) -> _Reduction:
     return _Reduction(e, o, W, e_inv, diag[o], 1.0 / s_diag, island, Z.T.tocsr(), SZ.T.tocsr(), E)
 
 
-def _solve_one(sys: DirichletSystem, red: _Reduction, label: int, rel_tol: float, out):
+def _solve_one(sys: DirichletSystem, red: _Reduction, label: int, out):
     """One label's x over `sys.unseeded` by deflated CG on S, written into `out`.
 
     The right-hand side of S x_o = b is b_o + W^T D_e^-1 b_e. x_o starts as
@@ -436,11 +439,11 @@ def _solve_one(sys: DirichletSystem, red: _Reduction, label: int, rel_tol: float
 
     M the diagonal of S. The back-substitution leaves the full system's
     residual in the o rows alone, so the loop runs until ||r / d_o|| <=
-    rel_tol ||D^-1 b||. The recursive r can drift from b - S x_o, so the
-    label is accepted, and its residual reported, on b - S x_o computed once
-    after the loop. Returns the label's stats. A label with no seeds gives
-    zeros without iterating. Raises ConvergenceFailure, with the achieved
-    residual, at the iteration cap or if that true residual misses rel_tol.
+    `CG_ATOL`. The recursive r can drift from b - S x_o, so the label is
+    accepted, and its residual reported, on b - S x_o computed once after
+    the loop. Returns the label's stats. A label with no seeds gives zeros
+    without iterating. Raises ConvergenceFailure, with the achieved
+    residual, at the iteration cap or if that true residual misses CG_ATOL.
     """
     b = -(sys.B @ np.eye(len(sys.label_ids))[sys.label_ids.index(label)])
     if not b.any():
@@ -448,19 +451,16 @@ def _solve_one(sys: DirichletSystem, red: _Reduction, label: int, rel_tol: float
         return LabelSolveStats(label, 0, 0.0)
     W, Wt, Zt, SZt, island = red.W, red.W.T, red.Zt, red.SZt, red.island
     b_e = b[red.e]
-    t = b_e * red.e_inv
-    scale = np.hypot(np.linalg.norm(t), np.linalg.norm(b[red.o] / red.d_o))  # ||D^-1 b||
-    b = b[red.o] + Wt @ t
+    b = b[red.o] + Wt @ (b_e * red.e_inv)
     y = red.E.solve(Zt @ b)
     x = y[island]
     r = b - SZt.T @ y
     z = np.empty_like(r)
     p = np.zeros_like(r)
     rz = np.inf  # the first step's p is its z
-    stop = rel_tol * scale
     iter_cap = min(10 * sys.n_unseeded, MAX_ITERS_CAP)
     iters = 0
-    while (res := np.linalg.norm(r / red.d_o)) > stop and iters < iter_cap:
+    while (res := np.linalg.norm(r / red.d_o)) > CG_ATOL and iters < iter_cap:
         np.multiply(red.s_inv, r, out=z)
         z -= red.E.solve(SZt @ z - Zt @ r)[island]
         rz_old, rz = rz, float(r @ z)
@@ -475,7 +475,7 @@ def _solve_one(sys: DirichletSystem, red: _Reduction, label: int, rel_tol: float
             raise ConvergenceFailure(
                 f"CG breakdown (p'Sp = {pSp}); system is not positive definite",
                 iterations=iters,
-                residual=res / scale,
+                residual=res,
             )
         alpha = rz / pSp
         x += alpha * p
@@ -484,10 +484,10 @@ def _solve_one(sys: DirichletSystem, red: _Reduction, label: int, rel_tol: float
     Wx = W @ x  # accept on the true residual b - S x, not the recursive one
     r = b - red.d_o * x
     r += Wt @ (Wx * red.e_inv)
-    res = np.linalg.norm(r / red.d_o) / scale
-    if res > rel_tol:
+    res = np.linalg.norm(r / red.d_o)
+    if res > CG_ATOL:
         raise ConvergenceFailure(
-            f"label {label}: residual {res:.3e} > rel_tol {rel_tol:.3e} "
+            f"label {label}: residual {res:.3e} > CG_ATOL {CG_ATOL:.3e} "
             f"after {iters} iterations",
             iterations=iters,
             residual=res,
@@ -497,7 +497,7 @@ def _solve_one(sys: DirichletSystem, red: _Reduction, label: int, rel_tol: float
     return LabelSolveStats(label, iters, float(res))
 
 
-def solve_all(sys: DirichletSystem, rel_tol: float = 1e-8) -> ProbabilityField:
+def solve_all(sys: DirichletSystem) -> ProbabilityField:
     """Probabilities of every label over the unseeded nodes.
 
     Returns values of shape (n_unseeded, m), rows ordered like
@@ -513,20 +513,17 @@ def solve_all(sys: DirichletSystem, rel_tol: float = 1e-8) -> ProbabilityField:
     are renormalized (logged). Drift beyond 1e-4 raises: that indicates a
     misconfigured solve, not roundoff.
 
-    A label's CG stops once ``||D^-1 (b - L_U x)|| <= rel_tol * ||D^-1 b||``,
-    D the diagonal of L_U: the Jacobi-preconditioned residual of the full
-    system relative to the preconditioned right-hand side. It raises
-    :class:`ConvergenceFailure` if that takes more than ``min(10 *
-    n_unseeded, MAX_ITERS_CAP)`` steps. rel_tol must be finite
-    (:class:`NonFiniteInput` otherwise) and positive; the direct route does
-    not use it.
+    A label's CG stops once ``||D^-1 (b - L_U x)|| <= CG_ATOL``, D the
+    diagonal of L_U. That absolute residual, reported per label, estimates
+    the label's max error to an exact solve; it does not bound it. CG raises
+    :class:`ConvergenceFailure` after ``min(10 * n_unseeded, MAX_ITERS_CAP)``
+    steps. The direct route does not use CG_ATOL.
 
     On the direct route a label's column is exact +0.0 on every block of
     L_U that has no seed of that label: its right-hand side is zero there,
     and the LU solve keeps it zero. `voxprop.propagate` writes only the
     nonzero entries into the soft volumes and relies on this.
     """
-    rel_tol = _check_rel_tol(rel_tol)
     label_ids = sys.label_ids
     direct_error = None
     if 0 < sys.largest_block <= DIRECT_BLOCK_LIMIT:
@@ -546,7 +543,7 @@ def solve_all(sys: DirichletSystem, rel_tol: float = 1e-8) -> ProbabilityField:
     # on fresh pages and raised sparse-seeds peak RSS by 3 MB
     values = np.empty((sys.n_unseeded, len(label_ids)))
     red = _reduce(sys) if head else None
-    stats = [_solve_one(sys, red, lab, rel_tol, values[:, k]) for k, lab in enumerate(head)]
+    stats = [_solve_one(sys, red, lab, values[:, k]) for k, lab in enumerate(head)]
     values[:, -1] = 1.0 - values[:, :-1].sum(axis=1)
     stats += [LabelSolveStats(lab, 0, 0.0, closure=True) for lab in label_ids[len(head):]]
     _finalize_probabilities(values)

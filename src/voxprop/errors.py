@@ -64,15 +64,16 @@ class NoSeeds(VoxpropError):
 
 
 class ConvergenceFailure(VoxpropError):
-    """The iterative solver hit its iteration cap, or produced out-of-range
-    probabilities indicating a misconfigured system.
+    """The CG hit its step cap or missed its tolerance on the true residual,
+    or the solver produced out-of-range probabilities (a misconfigured system).
 
     Attributes
     ----------
     iterations : int or None
         Iterations performed before giving up.
     residual : float or None
-        Achieved relative preconditioned residual.
+        Achieved absolute Jacobi residual ||D^-1 (b - L_U x)||: an estimate
+        of the label's error, not a bound on it.
     """
 
     def __init__(self, message, *, iterations=None, residual=None):

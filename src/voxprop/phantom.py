@@ -61,8 +61,8 @@ class PhantomSpec:
     def from_dict(cls, d: dict) -> "PhantomSpec":
         try:
             blobs = tuple(
-                PhantomBlob(tuple(float(c) for c in b["center"]),
-                            _whole(b["label_id"], "label_id"), float(b["intensity"]))
+                PhantomBlob(tuple(_real(c, "center") for c in b["center"]),
+                            _whole(b["label_id"], "label_id"), _real(b["intensity"], "intensity"))
                 for b in d["blobs"]
             )
             names = d.get("label_names")
@@ -72,16 +72,16 @@ class PhantomSpec:
                 dims=tuple(_whole(v, "dims") for v in d["dims"]),
                 blobs=blobs,
                 roi_semiaxes=(
-                    tuple(float(v) for v in d["roi_semiaxes"])
+                    tuple(_real(v, "roi_semiaxes") for v in d["roi_semiaxes"])
                     if d.get("roi_semiaxes") is not None
                     else None
                 ),
-                noise_sigma=float(d.get("noise_sigma", 0.0)),
-                unlabeled_fraction=float(d.get("unlabeled_fraction", 0.0)),
-                conflict_fraction=float(d.get("conflict_fraction", 0.0)),
+                noise_sigma=_real(d.get("noise_sigma", 0.0), "noise_sigma"),
+                unlabeled_fraction=_real(d.get("unlabeled_fraction", 0.0), "unlabeled_fraction"),
+                conflict_fraction=_real(d.get("conflict_fraction", 0.0), "conflict_fraction"),
                 keep_blob_centers=_flag(d.get("keep_blob_centers", True), "keep_blob_centers"),
                 seed=_whole(d.get("seed", 0), "seed"),
-                spacing=tuple(float(v) for v in d.get("spacing", (1.0, 1.0, 1.0))),
+                spacing=tuple(_real(v, "spacing") for v in d.get("spacing", (1.0, 1.0, 1.0))),
                 label_names=(  # JSON keys are strings
                     {int(k) if isinstance(k, str) else _whole(k, "label_names key"): str(v)
                      for k, v in names.items()}
@@ -100,11 +100,16 @@ class PhantomSpec:
         return cls.from_dict(d)
 
 
+def _real(v, what: str) -> float:
+    """A spec number such as 0.5 or 2, but not the string "0.5" or true."""
+    if isinstance(v, bool) or not isinstance(v, Real):
+        raise TypeError(f"{what} must be a number, got {v!r}")
+    return float(v)
+
+
 def _whole(v, what: str) -> int:
     """A spec number that must be an integer, such as 8 or 8.0 but not 8.7."""
-    if isinstance(v, bool) or not isinstance(v, Real):
-        raise TypeError(f"{what} must be an integer, got {v!r}")
-    if not float(v).is_integer():
+    if not _real(v, what).is_integer():
         raise ValueError(f"{what} must be an integer, got {v!r}")
     return int(v)
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dirichlet import _check_rel_tol, assemble, solve_all
+from .dirichlet import assemble, solve_all
 from .errors import (
     DimMismatch,
     NoSeedsInRoi,
@@ -54,15 +54,13 @@ class PropagationRequest:
     guidance supplies the edge-weight intensities (normalize to [0, 1]
     before building the request if beta is on its usual ~1e4 scale); roi
     bounds the solve; the annotation provides the label set, and the seeds
-    after conflict stripping. rel_tol is the solver's stopping tolerance,
-    finite and > 0 (see `solve_all`).
+    after conflict stripping.
     """
 
     guidance: Volume3D
     roi: Volume3D
     annotation: MultiLabelAnnotation
     beta: float = 10_000.0
-    rel_tol: float = 1e-8
     seedless_policy: str = "nearest_seed"
 
     def __post_init__(self):
@@ -76,7 +74,6 @@ class PropagationRequest:
                 f"annotation {self.annotation.dims} must share dims"
             )
         _check_beta(self.beta)
-        _check_rel_tol(self.rel_tol)
         if self.seedless_policy not in SEEDLESS_POLICIES:
             raise ValueError(
                 f"seedless_policy {self.seedless_policy!r} not in {SEEDLESS_POLICIES}"
@@ -204,7 +201,7 @@ def _propagate(req: PropagationRequest, regions: tuple[Volume3D, ...], where: st
     solved, seed_fills, policy_fills, reports = [], [], [], []
     for region, (seed_flat, seed_labels) in zip(regions, region_seeds):
         system = systems.pop(0)  # freed after its solve, before the soft volumes exist
-        field_ = solve_all(system, req.rel_tol)
+        field_ = solve_all(system)
         solved.append((system.unseeded, field_.values))
         seed_fills.append((seed_flat, np.searchsorted(labels.ids, seed_labels)))
         pockets = system.pocket_voxels
@@ -236,7 +233,6 @@ def _propagate(req: PropagationRequest, regions: tuple[Volume3D, ...], where: st
             "n_policy_filled": int(pockets.size) if fill else 0,
             "policy": policy,
             "beta": float(req.beta),
-            "rel_tol": float(req.rel_tol),
             "labels": stats,
             "total_iterations": int(sum(s["iterations"] for s in stats)),
         })

@@ -198,7 +198,7 @@ def test_large_lattice_oracle(phantom13, pcg_route):
     """Oracle equivalence at the acceptance-phantom size: PCG on the 13-blob
     phantom's own system (75k unseeded voxels, 73k of them in one block)
     against a sparse LU of the same L_U, every label, closure included, to
-    the same 1e-6."""
+    1e-7: CG_ATOL leaves about 2.5e-8 here."""
     seeds = strip_conflicts(phantom13.annotation)[0].data.ravel(order="F")
     voxels = np.flatnonzero((seeds > 0) & phantom13.roi.data.ravel(order="F"))
     sys_ = assemble(phantom13.guidance, phantom13.roi, (voxels, seeds[voxels]),
@@ -206,7 +206,7 @@ def test_large_lattice_oracle(phantom13, pcg_route):
     field = solve_all(sys_)
     assert field.route == "pcg"
     gap = float(np.abs(field.values - sparse_reference_solve(sys_)).max())
-    assert gap <= 1e-6, f"PCG vs sparse LU: diff {gap:.3e}"
+    assert gap <= 1e-7, f"PCG vs sparse LU: diff {gap:.3e}"
     _pass(
         f"large-lattice oracle ({sys_.n_unseeded} unseeded, {field.n_islands} islands, "
         f"diff {gap:.2e})"

@@ -9,10 +9,7 @@ from scipy.sparse.csgraph import connected_components
 from voxprop import (
     ConvergenceFailure,
     LabelSet,
-    MultiLabelAnnotation,
-    NonFiniteInput,
     NoSeeds,
-    PropagationRequest,
     W_FLOOR,
     assemble,
     edge_weight,
@@ -68,6 +65,28 @@ class TestAssemble:
     def test_no_seeds(self):
         with pytest.raises(NoSeeds):
             assemble(*uniform_chain(3), {}, 0.0)
+
+    @pytest.mark.parametrize(
+        "seeds",
+        [{0.9: 1, 3: 2}, {0: 1, 3: 2.7}, (np.array([0.2, 3.9]), [1, 2]), ([True, 3], [1, 2]),
+         ([0, 3], [1, np.True_]), (np.array([True, False]), [1, 2]), ([0, np.nan], [1, 2]),
+         ([0, np.inf], [1, 2]), ([0, 3], ["1", "2"])],
+    )
+    def test_seeds_that_are_not_whole_numbers_rejected(self, seeds):
+        # a cast to int64 would truncate or reinterpret each of these
+        with pytest.raises(ValueError, match="must be whole numbers"):
+            assemble(*uniform_chain(5), seeds, 0.0)
+
+    @pytest.mark.parametrize("seeds", [([], []), (np.array([]), np.array([]))])
+    def test_empty_seed_arrays_are_no_seeds(self, seeds):
+        with pytest.raises(NoSeeds):
+            assemble(*uniform_chain(3), seeds, 0.0)
+
+    def test_whole_float_seeds_accepted(self):
+        floats = assemble(*uniform_chain(4), {0.0: 1.0, 3: 2}, 0.0)
+        ints = assemble(*uniform_chain(4), {0: 1, 3: 2}, 0.0)
+        assert floats.B.toarray().tobytes() == ints.B.toarray().tobytes()
+        assert floats.unseeded.tolist() == ints.unseeded.tolist()
 
     def test_seed_labels_validated_against_label_set(self):
         with pytest.raises(ValueError):
@@ -250,34 +269,6 @@ class TestSolveLabel:
         assert exc.value.residual is not None and exc.value.residual > 0
 
 
-class TestRelTol:
-    """`solve_all` and `PropagationRequest` reject the same rel_tol values."""
-
-    @staticmethod
-    def _checks():
-        sys_ = assemble(*uniform_chain(5), {0: 1, 4: 2}, 0.0)
-        g, roi = make_intensity(np.zeros((5, 1, 1))), full_mask((5, 1, 1))
-        masks = np.zeros((2, 5, 1, 1), dtype=bool)
-        masks[0, 0] = masks[1, 4] = True
-        ann = MultiLabelAnnotation(LabelSet.from_ids([1, 2]), masks)
-        return (
-            lambda rel_tol: solve_all(sys_, rel_tol=rel_tol),
-            lambda rel_tol: PropagationRequest(g, roi, ann, rel_tol=rel_tol),
-        )
-
-    @pytest.mark.parametrize("rel_tol", [float("nan"), float("inf"), float("-inf")])
-    def test_non_finite_rel_tol_rejected(self, rel_tol):
-        for check in self._checks():
-            with pytest.raises(NonFiniteInput, match="rel_tol is"):
-                check(rel_tol)
-
-    @pytest.mark.parametrize("rel_tol", [0.0, -1e-8])
-    def test_non_positive_rel_tol_rejected(self, rel_tol):
-        for check in self._checks():
-            with pytest.raises(ValueError, match="rel_tol must be > 0"):
-                check(rel_tol)
-
-
 class TestSolveAll:
     def test_single_label_all_ones(self, pcg_route):
         sys_ = assemble(*uniform_chain(5), {0: 7, 4: 7}, 0.0)
@@ -324,8 +315,7 @@ class TestSolveAll:
         nodes = rng.choice(n_nodes, size=8, replace=False)
         seeds = {int(n): int(rng.integers(1, 3)) for n in nodes}
         sys_ = assemble(g, roi, seeds, 2.0)  # full roi: voxel = node
-        rel_tol = 1e-8
-        field = solve_all(sys_, rel_tol)
+        field = solve_all(sys_)
         ei, ej, w = (np.array(col) for col in zip(*edges))
         deg = np.bincount(ei, w, n_nodes) + np.bincount(ej, w, n_nodes)
         unseeded = sys_.unseeded
@@ -336,7 +326,7 @@ class TestSolveAll:
             weighted = np.bincount(ei, w * x[ej], n_nodes)
             weighted += np.bincount(ej, w * x[ei], n_nodes)
             avg = weighted / deg
-            tol = 10 * rel_tol * max(np.abs(x).max(), 1.0)
+            tol = 1e-7 * max(np.abs(x).max(), 1.0)
             assert np.abs(x[unseeded] - avg[unseeded]).max() <= tol
 
     def test_label_permutation_equivariance(self, rng):
@@ -531,17 +521,18 @@ class TestReducedRoute:
         assert np.array_equal(field.column(2), np.zeros(sys_.n_unseeded))
         assert field.stats[1].iterations == 0
 
-    @pytest.mark.parametrize("rel_tol", [1e-8, 1e-4])
-    def test_residual_is_the_full_systems(self, rng, pcg_route, rel_tol):
-        # rel_tol bounds ||D^-1 (b - L_U x)|| / ||D^-1 b|| of the full system,
-        # and the reported residual is that quantity
+    @pytest.mark.parametrize("atol", [1e-8, 1e-4])
+    def test_residual_is_the_full_systems(self, rng, pcg_route, atol, monkeypatch):
+        # CG_ATOL bounds ||D^-1 (b - L_U x)|| of the full system, and the
+        # reported residual is that quantity
+        monkeypatch.setattr(dirichlet, "CG_ATOL", atol)
         dims = (9, 8, 7)
         intensity, _ = blobby_field(dims, 5, rng)
         nodes = rng.choice(intensity.size, size=25, replace=False)
         seeds = {int(n): int(1 + k % 4) for k, n in enumerate(nodes)}
         labels = LabelSet.from_ids([1, 2, 3, 4])
         sys_ = assemble(make_intensity(intensity), full_mask(dims), seeds, 5.0, labels)
-        field = solve_all(sys_, rel_tol=rel_tol)
+        field = solve_all(sys_)
         d = sys_.L_U.diagonal()
         # the full Laplacian's U rows: times a seed indicator, they give -b
         n_nodes, _, edges = brute_force_edges(full_mask(dims).data, intensity, 5.0)
@@ -551,9 +542,9 @@ class TestReducedRoute:
             m[[v for v, lab in seeds.items() if lab == stats.label_id]] = 1.0
             b = -(L_rows @ m)
             x = field.values[:, k]
-            residual = np.linalg.norm((b - sys_.L_U @ x) / d) / np.linalg.norm(b / d)
+            residual = np.linalg.norm((b - sys_.L_U @ x) / d)
             assert stats.iterations > 0
-            assert residual <= rel_tol
+            assert residual <= atol
             assert residual == pytest.approx(stats.residual, rel=1e-6)
 
     def test_leaves_no_garbage(self, rng, pcg_route):
@@ -656,7 +647,7 @@ def test_island_tau_cuts_the_floored_edges(pcg_route, monkeypatch):
     from the 1e-10 floor to 3.9e-4, those above it from 1.8e-3, and the cut
     leaves 2 islands. A tau below W_FLOOR cuts no edge, so the one block is
     one island; its constant cannot hold the modes of the clusters behind
-    the weak edges, and CG meets rel_tol while still about 1e-2 off."""
+    the weak edges, and CG meets CG_ATOL while still about 1e-2 off."""
     assert dirichlet.ISLAND_TAU == 1e-3
     sys_ = _floored_cluster_system(546)
     ref = dense_reference_solve(sys_)
@@ -666,7 +657,7 @@ def test_island_tau_cuts_the_floored_edges(pcg_route, monkeypatch):
     monkeypatch.setattr(dirichlet, "ISLAND_TAU", W_FLOOR / 2)
     field = solve_all(sys_)
     assert field.n_islands == sys_.n_blocks == 1
-    assert all(s.residual <= 1e-8 for s in field.stats)
+    assert all(s.residual <= dirichlet.CG_ATOL for s in field.stats)
     assert np.abs(field.values - ref).max() > 1e-3
 
 
@@ -696,26 +687,31 @@ def _half_sparse_system(seed):
     return assemble(ph.guidance, ph.roi, (voxels, seeds[voxels]), 1e4, ph.labels)
 
 
-@pytest.mark.parametrize("seed, rel_tol", [(35, 1e-8), (51, 1e-8), (112, 1e-8), (7, 1e-12)])
-def test_deflated_cg_converges_on_sparse_seeds(seed, rel_tol, monkeypatch):
+@pytest.mark.parametrize("seed, atol", [(35, 1e-8), (51, 1e-8), (112, 1e-8), (7, 5e-12)])
+def test_deflated_cg_converges_on_sparse_seeds(seed, atol, monkeypatch):
     """A deflated CG that projects z off the island space but drops the
     coarse term Z E^-1 Z^T r lets round-off build up in Z^T r until the
     iterate diverges: on each of these systems it hit a 2,000-step cap
-    with a residual of 3e9 or more (4.4e6 for seed 7 at 1e-12). The
-    A-DEF2 step keeps the coarse term, and they converge."""
+    with a residual of 3e9 or more (4.4e6 for seed 7 at a relative 1e-12,
+    about an absolute 5e-12). The A-DEF2 step keeps the coarse term, and
+    they converge."""
     monkeypatch.setattr(dirichlet, "MAX_ITERS_CAP", 2000)
+    monkeypatch.setattr(dirichlet, "CG_ATOL", atol)
     sys_ = _half_sparse_system(seed)
-    field = solve_all(sys_, rel_tol=rel_tol)
+    field = solve_all(sys_)
     assert field.route == "pcg"
     assert sum(s.iterations for s in field.stats) <= 527
     assert np.abs(field.values - sparse_reference_solve(sys_)).max() <= 1e-6
 
 
 def test_true_residual_decides_convergence(monkeypatch):
-    """At 1e-15 the recursive residual of this system meets rel_tol while
-    the true one, b - S x, is about 4 times rel_tol: round-off in the
-    recursion. The label is judged on the true residual and fails."""
+    """At 2e-15 the recursive residual of this system meets CG_ATOL well
+    before the step cap while the true one, b - S x, is about 2.6 times
+    CG_ATOL: round-off in the recursion. The label is judged on the true
+    residual and fails."""
     monkeypatch.setattr(dirichlet, "MAX_ITERS_CAP", 2000)
+    monkeypatch.setattr(dirichlet, "CG_ATOL", 2e-15)
     with pytest.raises(ConvergenceFailure) as exc:
-        solve_all(_half_sparse_system(7), rel_tol=1e-15)
-    assert exc.value.residual > 1e-15
+        solve_all(_half_sparse_system(7))
+    assert exc.value.iterations < 2000
+    assert exc.value.residual > 2e-15

@@ -962,8 +962,8 @@ def test_soft_volumes_match_a_full_scatter(entry, spec_name, policy, route, monk
     module = sys.modules["voxprop.propagate"]
     solve_all, solved = module.solve_all, []
 
-    def recording(system, rel_tol):
-        field_ = solve_all(system, rel_tol)
+    def recording(system):
+        field_ = solve_all(system)
         solved.append((system.unseeded, field_.values))
         return field_
 
