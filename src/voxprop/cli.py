@@ -2,7 +2,9 @@
 
 Thin wrappers around the library: every subcommand is one library call plus
 file i/o. Exit codes: 0 success, 2 input/validation failure, 3 numerical
-failure. Diagnostics go to stderr.
+failure. Diagnostics go to stderr, and so do the library's log records at
+or above `--log-level` (default WARNING); INFO adds the solver's coarse
+space and each label's CG steps and residual.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import logging
 import sys
 from pathlib import Path
 
@@ -136,8 +139,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Random-walker label propagation for noisy 3D annotations.",
     )
     sub = p.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument(
+        "--log-level", default="WARNING", choices=("DEBUG", "INFO", "WARNING", "ERROR"),
+        help="lowest level of the log records written to stderr",
+    )
 
-    pp = sub.add_parser("propagate", help="propagate annotation labels over a roi")
+    pp = sub.add_parser("propagate", parents=[common],
+                        help="propagate annotation labels over a roi")
     pp.add_argument("--guidance", required=True, help="intensity NIfTI for edge weights")
     pp.add_argument("--roi", required=True, help="mask NIfTI bounding the solve")
     pp.add_argument("--labels", required=True, help="labelset file (id<TAB>name)")
@@ -154,13 +163,13 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--soft", action="store_true", help="also write per-label prob_*.nii")
     pp.set_defaults(func=cmd_propagate)
 
-    pf = sub.add_parser("fuse", help="majority-vote fusion of label maps")
+    pf = sub.add_parser("fuse", parents=[common], help="majority-vote fusion of label maps")
     pf.add_argument("--in", dest="inputs", required=True, nargs="+")
     pf.add_argument("--roi", required=True)
     pf.add_argument("--out", required=True)
     pf.set_defaults(func=cmd_fuse)
 
-    pe = sub.add_parser("evaluate", help="Dice report of prediction vs target")
+    pe = sub.add_parser("evaluate", parents=[common], help="Dice report of prediction vs target")
     pe.add_argument("--pred", required=True)
     pe.add_argument("--target", required=True)
     pe.add_argument("--labels", required=True)
@@ -172,13 +181,13 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--out", required=True, help="report path (.json; .txt twin)")
     pe.set_defaults(func=cmd_evaluate)
 
-    ph = sub.add_parser("phantom", help="generate a synthetic test phantom")
+    ph = sub.add_parser("phantom", parents=[common], help="generate a synthetic test phantom")
     ph.add_argument("--spec", required=True, help="phantom spec JSON")
     ph.add_argument("--seed", type=int, default=None, help="override the spec RNG seed")
     ph.add_argument("--out", required=True, help="output directory")
     ph.set_defaults(func=cmd_phantom)
 
-    pi = sub.add_parser("info", help="print volume header summary")
+    pi = sub.add_parser("info", parents=[common], help="print volume header summary")
     pi.add_argument("--in", dest="input", required=True)
     pi.set_defaults(func=cmd_info)
 
@@ -191,12 +200,22 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
+    # the package's records go to stderr for this run only, so a caller that
+    # runs main more than once in a process is left no handler behind
+    logger = logging.getLogger("voxprop")
+    handler = logging.StreamHandler()
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    logger.addHandler(handler)
+    logger.setLevel(args.log_level)
     try:
         return args.func(args)
     except (ConvergenceFailure, SeedlessComponent) as exc:
         return _fail(str(exc), EXIT_NUMERICAL)
     except (VoxpropError, OSError, ValueError) as exc:
         return _fail(str(exc), EXIT_INPUT)
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(logging.NOTSET)
 
 
 def entry() -> None:

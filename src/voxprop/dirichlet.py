@@ -46,21 +46,26 @@ system's Jacobi residual ||D^-1 (b - L_U x)|| is ||r_o / d_o||: CG stops
 once that is at most `CG_ATOL`, and a label's reported iterations count
 steps of CG on S.
 
-The CG is deflated by islands (Saad, Yeung, Erhel & Guyomarc'h, SIAM J.
-Sci. Comput. 2000). Edges of weight at most `ISLAND_TAU` cut L_U's graph
-into islands, the components of the strong edges; where intensity jumps,
-nearly all weight sits inside the islands, the solution is nearly
+The CG is deflated by island pieces (Saad, Yeung, Erhel & Guyomarc'h,
+SIAM J. Sci. Comput. 2000). Edges of weight at most `ISLAND_TAU` cut L_U's
+graph into islands, the components of the strong edges; where intensity
+jumps, nearly all weight sits inside the islands, the solution is nearly
 constant on each, and the near-null modes that slow plain CG (a strongly
 coupled cluster anchored through floored edges alone) are island
-indicators. Z holds the indicators restricted to the o colour (one column
-per island that holds an o node), and E = Z^T S Z is factored once per
-system. Each label starts from x_0 = Z E^-1 Z^T b, and CG runs with the
-A-DEF2 preconditioner of Tang, Nabben, Vuik & Erlangga (J. Sci. Comput.
-2009), (I - Z E^-1 (S Z)^T) M^-1 + Z E^-1 Z^T with M = diag(S): the
-first term takes the island part out of the Jacobi step, the second adds
-the exact coarse solve of the residual back. That coarse term keeps the
-round-off in Z^T r from building up; left out, CG diverges on some
-systems. A step costs one solve with E. The number of islands is
+indicators. A large island with few seeds also holds smooth modes that one
+constant cannot represent, so a fixed grid of `ISLAND_BOX`-voxel boxes cuts
+each island into pieces, one per box it meets: subdomain deflation
+(Nicolaides, SIAM J. Numer. Anal. 1987; Frank & Vuik, SIAM J. Sci. Comput.
+2001). Every island, a single voxel included, keeps at least one piece. Z
+holds the piece indicators restricted to the o colour (one column per
+piece that holds an o node), and E = Z^T S Z is factored once per system.
+Each label starts from x_0 = Z E^-1 Z^T b, and CG runs with the A-DEF2
+preconditioner of Tang, Nabben, Vuik & Erlangga (J. Sci. Comput. 2009),
+(I - Z E^-1 (S Z)^T) M^-1 + Z E^-1 Z^T with M = diag(S): the first term
+takes the coarse part out of the Jacobi step, the second adds the exact
+coarse solve of the residual back. That coarse term keeps the round-off in
+Z^T r from building up; left out, CG diverges on some systems. A step
+costs one solve with E. The number of columns of Z, the island pieces, is
 reported as `ProbabilityField.n_islands`.
 
 The solvers return one column per label; `voxprop.propagate` scatters
@@ -105,6 +110,12 @@ DIRECT_BLOCK_LIMIT = 4096
 #: edges always cut; far below the weights inside a smooth region.
 ISLAND_TAU = 1e-3
 
+#: Edge, in voxels, of the boxes that cut each island into pieces, one
+#: column of the deflation space each. On the sparse-seeds benchmark phantom
+#: (seed 203), 8 cut CG from 196 to 112 steps; 6 was as fast with 2.7 times
+#: the fill in E, and 4 was slower, its E filling to 1.2M entries.
+ISLAND_BOX = 8
+
 #: Absolute Jacobi residual ||D^-1 (b - L_U x)|| at which a label's CG stops:
 #: an estimate of its max error to an exact solve, not a bound.
 CG_ATOL = 5e-8
@@ -133,10 +144,10 @@ class LabelSolveStats:
 class DirichletSystem:
     """Partitioned lattice Laplacian around fixed seed voxels.
 
-    Voxels are x-fastest flat indices. `unseeded` holds the roi voxels that
-    are not seeds, of blocks that reach a seed, ascending. L_U rows/cols and
-    B rows follow `unseeded` order, and B columns follow `label_ids`, which
-    ascend. A row of B stores one entry per seed neighbour, so it may
+    Voxels are x-fastest flat indices into a grid of `dims`. `unseeded`
+    holds the roi voxels that are not seeds, of blocks that reach a seed,
+    ascending. L_U rows/cols and B rows follow `unseeded` order, and B
+    columns follow `label_ids`, which ascend. A row of B stores one entry per seed neighbour, so it may
     repeat a label's column; products with B, `toarray` and `sum` add the
     repeats. `odd[r]` says whether the voxel of row r has i + j + k odd;
     every off-diagonal entry of L_U joins an odd row to an even one.
@@ -158,6 +169,7 @@ class DirichletSystem:
     seedless_components: tuple[int, ...]
     n_blocks: int
     largest_block: int
+    dims: tuple[int, int, int]
 
     def __post_init__(self):
         for name in ("unseeded", "odd", "pocket_voxels"):
@@ -176,8 +188,9 @@ class ProbabilityField:
     no row. Rows sum to 1 and lie in [0, 1] up to solver tolerance
     (clamped). `route` names the solver that `solve_all` took: "direct" or
     "pcg". `direct_error` names the sparse LU failure that sent a direct
-    solve to PCG, and is None otherwise. `n_islands` is the number of
-    islands that deflated the PCG, 0 on the direct route.
+    solve to PCG, and is None otherwise. `n_islands` counts the columns of
+    the space that deflated the PCG, one per island piece (an island cut by
+    an `ISLAND_BOX` box), and is 0 on the direct route.
     """
 
     values: np.ndarray  # float64 (n_unseeded, m)
@@ -365,6 +378,7 @@ def assemble(
         seedless_components=tuple(int(c) for c in np.flatnonzero(~reaches_seed)),
         n_blocks=n_blocks,
         largest_block=int(np.bincount(block[solved], minlength=n_blocks).max(initial=0)),
+        dims=roi.dims,
     )
 
 
@@ -373,7 +387,7 @@ class _Reduction(NamedTuple):
 
     `e` (the larger colour) and `o` are rows of L_U, and W is -L_U[e, o].
     `e_inv` is 1 / diag(D_e), `d_o` is diag(D_o) and `s_inv` is 1 / diag(S).
-    `island[i]` is the column of Z holding o node i, so Z y is y[island].
+    `piece[i]` is the column of Z holding o node i, so Z y is y[piece].
     `Zt` is Z^T and `SZt` is (S Z)^T, both stored as CSR for the products
     that every A-DEF2 step takes with them, and `E` the LU factors of
     Z^T S Z.
@@ -385,7 +399,7 @@ class _Reduction(NamedTuple):
     e_inv: np.ndarray
     d_o: np.ndarray
     s_inv: np.ndarray
-    island: np.ndarray
+    piece: np.ndarray
     Zt: sp.csr_matrix
     SZt: sp.csr_matrix
     E: SuperLU
@@ -396,36 +410,53 @@ class _Reduction(NamedTuple):
 
 
 def _reduce(sys: DirichletSystem) -> _Reduction:
-    """Colour split of L_U and its island space; S is never formed.
+    """Colour split of L_U and its island-piece space; S is never formed.
 
     Every U-U edge joins e to o, so W holds each one once: its entries
     above `ISLAND_TAU` are the strong edges whose components are islands.
+    An o node's piece is its island and its box of the `ISLAND_BOX` grid.
     """
     L = sys.L_U
     in_e = sys.odd if 2 * np.count_nonzero(sys.odd) > sys.odd.size else ~sys.odd
     e, o = np.flatnonzero(in_e), np.flatnonzero(~in_e)
     W = -L[e][:, o]
     diag = L.diagonal()
-    e_inv = 1.0 / diag[e]
-    e_of = np.repeat(np.arange(e.size), np.diff(W.indptr))
-    s_diag = diag[o] - np.bincount(W.indices, W.data**2 * e_inv[e_of], minlength=o.size)
-
-    # islands: components of the strong edges, as a graph over e then o
-    strong = W > ISLAND_TAU
-    n = e.size + o.size
-    indptr = np.concatenate([strong.indptr, np.full(o.size, strong.nnz)])  # o rows empty
-    block = block_ids(sp.csr_matrix((strong.data, e.size + strong.indices, indptr), shape=(n, n)))
-    _, island = np.unique(block[e.size:], return_inverse=True)  # drops islands without o
-    n_islands = island.max(initial=-1) + 1
-    Z = sp.csr_matrix((np.ones(o.size), island, np.arange(o.size + 1)),
-                      shape=(o.size, n_islands))
-    SZ = (sp.diags(diag[o]) @ Z - W.T @ (sp.diags(e_inv) @ (W @ Z))).tocsr()
+    e_inv, d_o = 1.0 / diag[e], diag[o]
+    s_diag = d_o - np.bincount(W.indices, W.data**2 * np.repeat(e_inv, np.diff(W.indptr)),
+                               minlength=o.size)
+    piece = _pieces(sys, W, o)
+    n_pieces = piece.max(initial=-1) + 1
+    Z = sp.csr_matrix((np.ones(o.size), piece, np.arange(o.size + 1)), shape=(o.size, n_pieces))
+    Zt = Z.T.tocsr()
+    # (S Z)^T = Z^T D_o - (W Z)^T D_e^-1 W, built without S Z itself
+    WZt = (W @ Z).T.tocsr()
+    WZt.data *= e_inv[WZt.indices]
+    SZt = Zt @ sp.diags(d_o) - WZt @ W
     try:
-        E = _splu(Z.T @ SZ)
+        E = _splu(SZt @ Z)
     except _SPLU_FAILURES as exc:
-        raise ConvergenceFailure(f"sparse LU of the {n_islands}-island deflation space "
+        raise ConvergenceFailure(f"sparse LU of the {n_pieces}-island deflation space "
                                  f"failed ({type(exc).__name__}: {exc})") from exc
-    return _Reduction(e, o, W, e_inv, diag[o], 1.0 / s_diag, island, Z.T.tocsr(), SZ.T.tocsr(), E)
+    log.info("deflated CG on %d of %d unknowns: %d coarse columns, E fill %d",
+             o.size, L.shape[0], n_pieces, E.nnz)
+    return _Reduction(e, o, W, e_inv, d_o, 1.0 / s_diag, piece, Zt, SZt, E)
+
+
+def _pieces(sys: DirichletSystem, W: sp.csr_matrix, o: np.ndarray) -> np.ndarray:
+    """Piece number of each o node: its (island, box) pair, in that order.
+
+    Islands are the components of W's strong edges, searched as a graph
+    over e then o; boxes are cells of the `ISLAND_BOX` grid over `sys.dims`.
+    """
+    n_e, n_o = W.shape
+    strong = W > ISLAND_TAU
+    indptr = np.concatenate([strong.indptr, np.full(n_o, strong.nnz)])  # o rows empty
+    graph = sp.csr_matrix((strong.data, n_e + strong.indices, indptr), shape=(n_e + n_o,) * 2)
+    island = block_ids(graph)[n_e:]
+    grid = tuple(-(-d // ISLAND_BOX) for d in sys.dims)
+    ijk = np.unravel_index(sys.unseeded[o], sys.dims, order="F")
+    box = np.ravel_multi_index(tuple(c // ISLAND_BOX for c in ijk), grid, order="F")
+    return np.unique(island * np.prod(grid) + box, return_inverse=True)[1]
 
 
 def _solve_one(sys: DirichletSystem, red: _Reduction, label: int, out):
@@ -441,19 +472,21 @@ def _solve_one(sys: DirichletSystem, red: _Reduction, label: int, out):
     residual in the o rows alone, so the loop runs until ||r / d_o|| <=
     `CG_ATOL`. The recursive r can drift from b - S x_o, so the label is
     accepted, and its residual reported, on b - S x_o computed once after
-    the loop. Returns the label's stats. A label with no seeds gives zeros
-    without iterating. Raises ConvergenceFailure, with the achieved
-    residual, at the iteration cap or if that true residual misses CG_ATOL.
+    the loop; a NaN residual ends the loop and is never accepted. Returns
+    the label's stats. A label with no seeds gives zeros without iterating.
+    Raises ConvergenceFailure, with the achieved residual, at the iteration
+    cap or unless that true residual is at most CG_ATOL.
     """
     b = -(sys.B @ np.eye(len(sys.label_ids))[sys.label_ids.index(label)])
     if not b.any():
         out[:] = 0.0
+        log.info("label %d: no seeds, zero without CG", label)
         return LabelSolveStats(label, 0, 0.0)
-    W, Wt, Zt, SZt, island = red.W, red.W.T, red.Zt, red.SZt, red.island
+    W, Wt, Zt, SZt, piece = red.W, red.W.T, red.Zt, red.SZt, red.piece
     b_e = b[red.e]
     b = b[red.o] + Wt @ (b_e * red.e_inv)
     y = red.E.solve(Zt @ b)
-    x = y[island]
+    x = y[piece]
     r = b - SZt.T @ y
     z = np.empty_like(r)
     p = np.zeros_like(r)
@@ -462,7 +495,7 @@ def _solve_one(sys: DirichletSystem, red: _Reduction, label: int, out):
     iters = 0
     while (res := np.linalg.norm(r / red.d_o)) > CG_ATOL and iters < iter_cap:
         np.multiply(red.s_inv, r, out=z)
-        z -= red.E.solve(SZt @ z - Zt @ r)[island]
+        z -= red.E.solve(SZt @ z - Zt @ r)[piece]
         rz_old, rz = rz, float(r @ z)
         p *= rz / rz_old
         p += z
@@ -471,7 +504,7 @@ def _solve_one(sys: DirichletSystem, red: _Reduction, label: int, out):
         Sp = red.d_o * p
         Sp -= Wt @ t
         pSp = float(p @ Sp)
-        if pSp <= 0.0:
+        if not pSp > 0.0:
             raise ConvergenceFailure(
                 f"CG breakdown (p'Sp = {pSp}); system is not positive definite",
                 iterations=iters,
@@ -485,7 +518,7 @@ def _solve_one(sys: DirichletSystem, red: _Reduction, label: int, out):
     r = b - red.d_o * x
     r += Wt @ (Wx * red.e_inv)
     res = np.linalg.norm(r / red.d_o)
-    if res > CG_ATOL:
+    if not res <= CG_ATOL:  # NaN included
         raise ConvergenceFailure(
             f"label {label}: residual {res:.3e} > CG_ATOL {CG_ATOL:.3e} "
             f"after {iters} iterations",
@@ -494,6 +527,7 @@ def _solve_one(sys: DirichletSystem, red: _Reduction, label: int, out):
         )
     out[red.e] = (b_e + Wx) * red.e_inv
     out[red.o] = x
+    log.info("label %d: %d CG steps, residual %.3e", label, iters, res)
     return LabelSolveStats(label, iters, float(res))
 
 
@@ -505,13 +539,13 @@ def solve_all(sys: DirichletSystem) -> ProbabilityField:
     one sparse LU factorization of L_U solves all m labels (route
     "direct"); if the factorization fails, the PCG route runs instead and
     `direct_error` says why. The PCG route eliminates the larger colour of
-    the lattice once and factors the island space once, then solves m - 1
-    labels one after another by island-deflated CG on the reduced system S,
+    the lattice once and factors the island-piece space once, then solves
+    m - 1 labels one after another by deflated CG on the reduced system S,
     whose steps are the labels' reported iterations, and closes the simplex
     by assigning the remaining mass to the largest label id. Tiny negative
     drift is clamped to [0, 1]; rows whose sum moved more than 1e-6 from 1
-    are renormalized (logged). Drift beyond 1e-4 raises: that indicates a
-    misconfigured solve, not roundoff.
+    are renormalized (logged). Drift beyond 1e-4, NaN or inf raises
+    ConvergenceFailure: that indicates a failed solve, not roundoff.
 
     A label's CG stops once ``||D^-1 (b - L_U x)|| <= CG_ATOL``, D the
     diagonal of L_U. That absolute residual, reported per label, estimates
@@ -557,8 +591,15 @@ def _splu(A: sp.spmatrix) -> SuperLU:
 
 
 def _finalize_probabilities(values: np.ndarray) -> None:
-    """Clamp tiny out-of-range drift in-place and renormalize drifted rows."""
-    worst = max(float(-values.min(initial=0.0)), float(values.max(initial=1.0) - 1.0))
+    """Clamp tiny out-of-range drift in-place and renormalize drifted rows.
+
+    Raises ConvergenceFailure on a NaN or infinite value, or on drift beyond
+    `PROB_HARD_LIMIT`.
+    """
+    lo, hi = float(values.min(initial=0.0)), float(values.max(initial=1.0))
+    if np.isnan(lo + hi):  # min and max carry any NaN through
+        raise ConvergenceFailure("probabilities hold NaN; solver output is unusable")
+    worst = max(-lo, hi - 1.0)
     if worst > PROB_HARD_LIMIT:
         raise ConvergenceFailure(
             f"probabilities violate [0, 1] by {worst:.3e} (> {PROB_HARD_LIMIT:.0e}); "

@@ -118,6 +118,36 @@ class TestPropagateCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: sparse LU of the ") and "MemoryError" in err
 
+    def test_log_level_info_explains_the_pcg_solve(self, tmp_path, phantom_files, monkeypatch,
+                                                   capsys):
+        monkeypatch.setattr(dirichlet, "DIRECT_BLOCK_LIMIT", 0)
+        argv = ["propagate", "--guidance", phantom_files["guidance"],
+                "--roi", phantom_files["roi"], "--labels", phantom_files["labels"],
+                "--annotation", *phantom_files["annotation"], "--out", tmp_path / "out"]
+        assert run(argv) == 0
+        assert "INFO" not in capsys.readouterr().err  # WARNING by default
+        assert run(argv + ["--log-level", "INFO"]) == 0
+        err = capsys.readouterr().err
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["route"] == "pcg"
+        system = re.findall(r"^INFO voxprop\.dirichlet: deflated CG on \d+ of (\d+) unknowns: "
+                            r"(\d+) coarse columns, E fill \d+$", err, re.M)
+        assert system == [(str(report["n_unseeded"]), str(report["n_islands"]))]
+        label = report["labels"][0]  # the one head label; the other is the closure
+        assert re.findall(r"^INFO voxprop\.dirichlet: label (\d+): (\d+) CG steps, residual \S+$",
+                          err, re.M) == [(str(label["label_id"]), str(label["iterations"]))]
+        assert run(argv) == 0  # the handler is removed after each run
+        assert capsys.readouterr().err == ""
+
+    def test_unknown_log_level_exits_2(self, tmp_path, phantom_files, capsys):
+        code = run(["propagate", "--guidance", phantom_files["guidance"],
+                    "--roi", phantom_files["roi"], "--labels", phantom_files["labels"],
+                    "--annotation", *phantom_files["annotation"], "--out", tmp_path / "out",
+                    "--log-level", "CHATTY"])
+        assert code == 2
+        assert "invalid choice: 'CHATTY'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_soft_outputs(self, tmp_path, phantom_files):
         out = tmp_path / "out"
         code = run(

@@ -671,6 +671,67 @@ def test_failed_island_factor_is_a_convergence_failure(pcg_route, monkeypatch):
         solve_all(sys_)
 
 
+class _NanFactor:
+    """Stands in for a sparse LU whose solves come back NaN."""
+
+    def __init__(self, A):
+        self.shape, self.nnz = A.shape, A.nnz
+
+    def solve(self, rhs):
+        return np.full(rhs.shape, np.nan)
+
+
+def test_nan_from_the_island_factor_is_a_convergence_failure(pcg_route, monkeypatch):
+    """NaN > CG_ATOL is False: a NaN residual ends the CG at once, and the
+    label must then fail its acceptance instead of passing it."""
+    monkeypatch.setattr(dirichlet, "_splu", _NanFactor)
+    with pytest.raises(ConvergenceFailure, match="residual nan") as exc:
+        solve_all(_floored_cluster_system(546))
+    assert exc.value.iterations == 0 and np.isnan(exc.value.residual)
+
+
+def test_nan_from_the_direct_factor_is_a_convergence_failure(monkeypatch):
+    monkeypatch.setattr(dirichlet, "_splu", _NanFactor)
+    sys_ = _floored_cluster_system(546)
+    assert sys_.largest_block <= dirichlet.DIRECT_BLOCK_LIMIT
+    with pytest.raises(ConvergenceFailure, match="NaN"):
+        solve_all(sys_)
+
+
+def test_deflation_space_is_islands_cut_by_boxes(rng, pcg_route):
+    """Z has one column per (island, box) pair that holds an o node: every
+    column lies in one island and one box, every o node is in exactly one
+    column, and every island with an o node, a single voxel included, has
+    a column."""
+    dims = (19, 10, 13)  # more than one ISLAND_BOX box along every axis
+    g = make_intensity(rng.random(dims))
+    voxels = rng.choice(g.n_voxels, 120, replace=False)
+    sys_ = assemble(g, full_mask(dims), (voxels, rng.integers(1, 4, voxels.size)), 50.0)
+    red = dirichlet._reduce(sys_)
+    n_cols = red.Zt.shape[0]
+
+    L = sys_.L_U.tocoo()
+    strong = (L.row != L.col) & (-L.data > dirichlet.ISLAND_TAU)
+    _, island = connected_components(
+        sp.coo_matrix((L.data[strong], (L.row[strong], L.col[strong])), shape=L.shape),
+        directed=False)
+    box = np.column_stack(np.unravel_index(sys_.unseeded, dims, order="F")) // dirichlet.ISLAND_BOX
+    pair = np.column_stack([island, box])[red.o]  # (island, box) of each o node
+
+    Z = red.Zt.T.tocsr()
+    assert np.array_equal(np.diff(Z.indptr), np.ones(red.o.size)) and (Z.data == 1).all()
+    col_pairs = np.unique(np.column_stack([Z.indices, pair]), axis=0)
+    assert np.array_equal(col_pairs[:, 0], np.arange(n_cols))  # one pair per column
+    assert n_cols == len(np.unique(pair, axis=0))
+    sizes = np.bincount(island)
+    o_islands = np.unique(island[red.o])
+    assert np.array_equal(np.unique(col_pairs[:, 1]), o_islands)
+    # the case is not trivial: some islands are single voxels, some span boxes
+    assert (sizes[o_islands] == 1).any()
+    assert n_cols > len(o_islands) and len(np.unique(box, axis=0)) > 1
+    assert solve_all(sys_).n_islands == n_cols
+
+
 def _half_sparse_system(seed):
     """The 13-blob acceptance layout at half size (32x48x32, centres
     halved) with 99% of the labeled voxels cleared, no conflicts and beta
@@ -687,6 +748,13 @@ def _half_sparse_system(seed):
     return assemble(ph.guidance, ph.roi, (voxels, seeds[voxels]), 1e4, ph.labels)
 
 
+# total CG steps per seed, about 10% above the 87, 83, 60 and 292 taken
+# with island pieces; islands alone took 123, 113, 85 and 445, above every
+# bound. One label of seed 35 levels off near 1e-8, so round-off in E moves
+# its total from 87 to as few as 78.
+SPARSE_SEEDS_MAX_STEPS = {35: 96, 51: 91, 112: 66, 7: 321}
+
+
 @pytest.mark.parametrize("seed, atol", [(35, 1e-8), (51, 1e-8), (112, 1e-8), (7, 5e-12)])
 def test_deflated_cg_converges_on_sparse_seeds(seed, atol, monkeypatch):
     """A deflated CG that projects z off the island space but drops the
@@ -700,7 +768,7 @@ def test_deflated_cg_converges_on_sparse_seeds(seed, atol, monkeypatch):
     sys_ = _half_sparse_system(seed)
     field = solve_all(sys_)
     assert field.route == "pcg"
-    assert sum(s.iterations for s in field.stats) <= 527
+    assert sum(s.iterations for s in field.stats) <= SPARSE_SEEDS_MAX_STEPS[seed]
     assert np.abs(field.values - sparse_reference_solve(sys_)).max() <= 1e-6
 
 

@@ -865,7 +865,7 @@ GOLDEN = {
         "35d1c28eaf121366afa256f1e17ab214fe00fbf1baf15d133d96256ab1f00a20",
     ),
     ("propagate", "anisotropic", "nearest_seed", "pcg"): (
-        "90e2bc00dc8dc032f3368d14abbdcdada0dcbca0d906f6a7353920a413d99dba",
+        "f5e2b0c3b73c16ef3f379ca6e0eb005069f15e331fde14809278ccf8bd78792e",
         "35d1c28eaf121366afa256f1e17ab214fe00fbf1baf15d133d96256ab1f00a20",
     ),
     ("propagate", "capped", "background", "direct"): (
