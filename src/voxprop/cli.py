@@ -65,8 +65,6 @@ def cmd_propagate(args) -> int:
 
 
 def cmd_fuse(args) -> int:
-    if len(args.inputs) < 2:
-        return _fail("need at least 2 input maps", EXIT_INPUT)
     maps = [nifti.read_volume(p, "label") for p in args.inputs]
     roi = nifti.read_volume(args.roi, "mask")
     fused = majority_vote(maps, roi)

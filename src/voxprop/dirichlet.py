@@ -28,8 +28,8 @@ others), which keeps per-node sums at exactly 1.
 
 The conjugate gradients run on half the unknowns. The 6-connected lattice
 is bipartite: every edge joins a voxel with i + j + k odd to one with
-i + j + k even (`DirichletSystem.odd`). Ordered by colour, with e the
-larger colour and o the other,
+i + j + k even. Ordered by colour, with e the larger colour and o the
+other,
 
     L_U = [[D_e, -W], [-W^T, D_o]]
 
@@ -84,7 +84,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import SuperLU, splu
 
 from .errors import ConvergenceFailure, EmptyRoi, NonFiniteInput, NoSeeds
-from .lattice import _check_beta, _weights, block_ids, neighbor_voxels, voxel_parity
+from .lattice import _check_beta, _weights, block_ids, neighbor_voxels
 from .volume import LabelSet, Volume3D, require_same_dims
 
 log = logging.getLogger(__name__)
@@ -147,10 +147,9 @@ class DirichletSystem:
     Voxels are x-fastest flat indices into a grid of `dims`. `unseeded`
     holds the roi voxels that are not seeds, of blocks that reach a seed,
     ascending. L_U rows/cols and B rows follow `unseeded` order, and B
-    columns follow `label_ids`, which ascend. A row of B stores one entry per seed neighbour, so it may
-    repeat a label's column; products with B, `toarray` and `sum` add the
-    repeats. `odd[r]` says whether the voxel of row r has i + j + k odd;
-    every off-diagonal entry of L_U joins an odd row to an even one.
+    columns follow `label_ids`, which ascend. A row of B stores one entry
+    per seed neighbour, so it may repeat a label's column; products with B,
+    `toarray` and `sum` add the repeats.
 
     A block is a connected component of the unseeded roi voxels; blocks are
     numbered by their first voxel. `n_blocks` counts them all, pockets
@@ -161,7 +160,6 @@ class DirichletSystem:
     """
 
     unseeded: np.ndarray
-    odd: np.ndarray
     L_U: sp.csr_matrix
     B: sp.csr_matrix
     label_ids: tuple[int, ...]
@@ -172,7 +170,7 @@ class DirichletSystem:
     dims: tuple[int, int, int]
 
     def __post_init__(self):
-        for name in ("unseeded", "odd", "pocket_voxels"):
+        for name in ("unseeded", "pocket_voxels"):
             getattr(self, name).setflags(write=False)
 
     @property
@@ -326,9 +324,6 @@ def assemble(
     if np.count_nonzero(seeded) < seed_voxels.size:
         raise ValueError("duplicate seed voxels")
     free = np.flatnonzero(inside & ~seeded)
-    # made before the large arrays below: made after them, this small array
-    # left a heap layout that raised sparse-seeds peak RSS by 12 MB
-    odd = voxel_parity(free, roi.dims)
     nbrs = neighbor_voxels(free, inside, roi.dims)
     present = nbrs >= 0
     to_seed = present & seeded[nbrs]
@@ -366,11 +361,10 @@ def assemble(
     if not solved.all():
         # a pocket has no edge out of itself, so dropping its rows and
         # columns leaves every other row whole
-        L_U, B, odd = L_U[solved][:, solved], B[solved], odd[solved]
+        L_U, B = L_U[solved][:, solved], B[solved]
 
     return DirichletSystem(
         unseeded=free[solved],
-        odd=odd,
         L_U=L_U,
         B=B,
         label_ids=label_ids,
@@ -412,19 +406,25 @@ class _Reduction(NamedTuple):
 def _reduce(sys: DirichletSystem) -> _Reduction:
     """Colour split of L_U and its island-piece space; S is never formed.
 
+    The grid coordinates of `sys.unseeded` give each node's colour, the
+    parity of i + j + k, and each o node's box of the `ISLAND_BOX` grid.
     Every U-U edge joins e to o, so W holds each one once: its entries
     above `ISLAND_TAU` are the strong edges whose components are islands.
-    An o node's piece is its island and its box of the `ISLAND_BOX` grid.
     """
     L = sys.L_U
-    in_e = sys.odd if 2 * np.count_nonzero(sys.odd) > sys.odd.size else ~sys.odd
+    ijk = np.unravel_index(sys.unseeded, sys.dims, order="F")
+    odd = sum(ijk) % 2 == 1
+    in_e = odd if 2 * np.count_nonzero(odd) > odd.size else ~odd
     e, o = np.flatnonzero(in_e), np.flatnonzero(~in_e)
+    grid = tuple(-(-d // ISLAND_BOX) for d in sys.dims)
+    box = np.ravel_multi_index(tuple(c[o] // ISLAND_BOX for c in ijk), grid, order="F")
+    del ijk, odd, in_e
     W = -L[e][:, o]
     diag = L.diagonal()
     e_inv, d_o = 1.0 / diag[e], diag[o]
     s_diag = d_o - np.bincount(W.indices, W.data**2 * np.repeat(e_inv, np.diff(W.indptr)),
                                minlength=o.size)
-    piece = _pieces(sys, W, o)
+    piece = _pieces(W, box, np.prod(grid))
     n_pieces = piece.max(initial=-1) + 1
     Z = sp.csr_matrix((np.ones(o.size), piece, np.arange(o.size + 1)), shape=(o.size, n_pieces))
     Zt = Z.T.tocsr()
@@ -442,21 +442,18 @@ def _reduce(sys: DirichletSystem) -> _Reduction:
     return _Reduction(e, o, W, e_inv, d_o, 1.0 / s_diag, piece, Zt, SZt, E)
 
 
-def _pieces(sys: DirichletSystem, W: sp.csr_matrix, o: np.ndarray) -> np.ndarray:
+def _pieces(W: sp.csr_matrix, box: np.ndarray, n_boxes: int) -> np.ndarray:
     """Piece number of each o node: its (island, box) pair, in that order.
 
     Islands are the components of W's strong edges, searched as a graph
-    over e then o; boxes are cells of the `ISLAND_BOX` grid over `sys.dims`.
+    over e then o; `box[i]` is o node i's box, one of `n_boxes`.
     """
     n_e, n_o = W.shape
     strong = W > ISLAND_TAU
     indptr = np.concatenate([strong.indptr, np.full(n_o, strong.nnz)])  # o rows empty
     graph = sp.csr_matrix((strong.data, n_e + strong.indices, indptr), shape=(n_e + n_o,) * 2)
     island = block_ids(graph)[n_e:]
-    grid = tuple(-(-d // ISLAND_BOX) for d in sys.dims)
-    ijk = np.unravel_index(sys.unseeded[o], sys.dims, order="F")
-    box = np.ravel_multi_index(tuple(c // ISLAND_BOX for c in ijk), grid, order="F")
-    return np.unique(island * np.prod(grid) + box, return_inverse=True)[1]
+    return np.unique(island * n_boxes + box, return_inverse=True)[1]
 
 
 def _solve_one(sys: DirichletSystem, red: _Reduction, label: int, out):

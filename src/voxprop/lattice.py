@@ -2,8 +2,9 @@
 
 Voxels are addressed by their x-fastest flat index. The neighbours of voxel
 v are v +/- 1, v +/- nx and v +/- nx*ny, kept when they lie on the grid and
-in the roi; `neighbor_voxels` and `voxel_parity` do this arithmetic, and
-`propagate._nearest_seed_cols` unravels flat indices into coordinates.
+in the roi; `neighbor_voxels` does this arithmetic, and
+`propagate._nearest_seed_cols` and `dirichlet._reduce` unravel flat indices
+into coordinates.
 An edge joins two neighbouring roi voxels, with Gaussian intensity affinity
 
     w_ij = exp(-beta * (g_i - g_j)**2)
@@ -84,16 +85,6 @@ def neighbor_voxels(voxels: np.ndarray, inside: np.ndarray, dims) -> np.ndarray:
         keep = inside[nb]
         out[k, idx[keep]] = nb[keep]
     return out
-
-
-def voxel_parity(voxels: np.ndarray, dims) -> np.ndarray:
-    """Whether i + j + k is odd for each x-fastest flat index in `voxels`.
-
-    Every step in `DIRECTIONS` changes exactly one coordinate by one, so
-    each lattice edge joins an odd voxel to an even one.
-    """
-    nx, ny = dims[0], dims[1]
-    return (voxels % nx + voxels // nx % ny + voxels // (nx * ny)) % 2 == 1
 
 
 def block_ids(adj: sp.spmatrix) -> np.ndarray:

@@ -1,16 +1,22 @@
 import argparse
+import ast
+import dataclasses
+import importlib
+import io
 import json
 import os
 import re
 import struct
 import subprocess
 import sys
+import tokenize
 import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import voxprop
 from voxprop import (
     LabelSet,
     PropagationRequest,
@@ -326,13 +332,15 @@ class TestFuseCommand:
         assert code == 0
         assert (read_volume(out, "label").data == 1).all()
 
-    def test_single_input_exits_2(self, tmp_path):
+    def test_single_input_exits_2(self, tmp_path, capsys):
         paths = self._write_maps(tmp_path, [np.zeros((2, 2, 2))])
         write_volume(Volume3D(np.ones((2, 2, 2), bool), "mask"), tmp_path / "roi.nii")
         code = run(
             ["fuse", "--in", paths[0], "--roi", tmp_path / "roi.nii", "--out", tmp_path / "f.nii"]
         )
         assert code == 2
+        assert "majority voting needs >= 2 maps, got 1" in capsys.readouterr().err
+        assert not (tmp_path / "f.nii").exists()
 
     def test_identical_inputs_identity(self, tmp_path, rng):
         dims = (3, 3, 2)
@@ -649,3 +657,37 @@ def test_readme_command_line_flags_exist():
     known = {opt for sub in subcommands for a in sub._actions for opt in a.option_strings}
     assert "--soft" in flags
     assert flags <= known, f"README names unknown flags {sorted(flags - known)}"
+
+
+def _doc_texts():
+    """README, then every docstring and comment of the voxprop modules."""
+    root = Path(__file__).resolve().parents[1]
+    yield (root / "README.md").read_text()
+    for path in sorted((root / "src" / "voxprop").glob("*.py")):
+        source = path.read_text()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)):
+                yield ast.get_docstring(node, clean=False) or ""
+        for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+            if tok.type == tokenize.COMMENT:
+                yield tok.string
+
+
+def test_docs_cite_only_real_attributes():
+    """Every backticked `head.attr` in README and in the package's docstrings
+    and comments, whose head is a voxprop submodule or a public name,
+    resolves to an attribute or a dataclass field."""
+    submodules = {p.stem for p in Path(voxprop.__file__).parent.glob("*.py")} - {"__init__"}
+    refs = {ref for text in _doc_texts() for ref in re.findall(r"`(\w+)\.(\w+)`", text)
+            if ref[0] in submodules or ref[0] in voxprop.__all__}
+
+    def resolves(head, attr):
+        # `propagate` names a submodule and, in voxprop, the function it exports
+        heads = [importlib.import_module(f"voxprop.{head}")] if head in submodules else []
+        heads += [getattr(voxprop, head)] if head in voxprop.__all__ else []
+        return any(hasattr(h, attr) or dataclasses.is_dataclass(h)
+                   and attr in {f.name for f in dataclasses.fields(h)} for h in heads)
+
+    assert ("DirichletSystem", "unseeded") in refs
+    stale = sorted(f"{head}.{attr}" for head, attr in refs if not resolves(head, attr))
+    assert not stale, f"docs cite missing attributes {stale}"

@@ -163,13 +163,16 @@ class TestAssemble:
             nodes = rng.choice(voxels, size=max(1, voxels.size // 8), replace=False)
             seeds = {int(v): int(rng.integers(1, 4)) for v in nodes}
             sys_ = assemble(make_intensity(rng.random(dims)), make_mask(roi), seeds, 2.0)
-            ijk = np.unravel_index(sys_.unseeded, dims, order="F")
-            assert sys_.odd.dtype == bool and not sys_.odd.flags.writeable
-            assert np.array_equal(sys_.odd, sum(ijk) % 2 == 1)
+            odd = sum(np.unravel_index(sys_.unseeded, dims, order="F")) % 2 == 1
+            red = dirichlet._reduce(sys_)
+            assert np.array_equal(np.sort(np.r_[red.e, red.o]), np.arange(sys_.n_unseeded))
+            e_odd = odd[red.e[0]]
+            assert (odd[red.e] == e_odd).all() and (odd[red.o] != e_odd).all()
+            assert red.e.size >= red.o.size
             coo = sys_.L_U.tocoo()
             off = coo.row != coo.col
             assert off.any()
-            assert (sys_.odd[coo.row[off]] != sys_.odd[coo.col[off]]).all()
+            assert (odd[coo.row[off]] != odd[coo.col[off]]).all()  # each joins e to o
             n_multi_block += sys_.n_blocks - len(sys_.seedless_components) > 1
         assert n_multi_block > 0
 
@@ -494,7 +497,9 @@ class TestReducedRoute:
         seeds = {int(v): int(rng.integers(1, 4)) for v in even}
         g = make_intensity(rng.random(dims))
         sys_ = assemble(g, full_mask(dims), seeds, 3.0, LabelSet.from_ids([1, 2, 3]))
-        assert sys_.odd.all() and sys_.L_U.nnz == sys_.n_unseeded
+        assert sys_.L_U.nnz == sys_.n_unseeded
+        assert (sum(np.unravel_index(sys_.unseeded, dims, order="F")) % 2 == 1).all()
+        assert dirichlet._reduce(sys_).o.size == 0
         field = self.check_against_dense(sys_)
         assert all(s.iterations == 0 for s in field.stats)
 
