@@ -13,8 +13,9 @@ the label's unit vector. Row sums of [L_U | B] are zero by construction.
 The nodes are voxels. `assemble` visits only the unseeded roi voxels and
 their six neighbours, since the U-U and U-S edges are all the system needs;
 seed-seed edges are never built. The connected components of L_U's own
-graph are its blocks. A block with no edge to a seed (a pocket) joins
-neither S nor U, so L_U is always SPD: a walker there never reaches a seed.
+graph are its blocks, numbered by their first node: scipy's order, pinned
+by a test. A block with no edge to a seed (a pocket) joins neither S nor
+U, so L_U is always SPD: a walker there never reaches a seed.
 The solvers return x_U only, one row per unseeded voxel in `unseeded`
 order; seeds and pockets have no row, and their voxels are the caller's to
 fill.
@@ -81,11 +82,12 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import SuperLU, splu
 
 from .errors import ConvergenceFailure, EmptyRoi, NonFiniteInput, NoSeeds
-from .lattice import _check_beta, _weights, block_ids, neighbor_voxels
-from .volume import LabelSet, Volume3D, require_same_dims
+from .lattice import _check_beta, _weights, neighbor_voxels
+from .volume import LabelSet, Volume3D, _whole_ids, require_same_dims
 
 log = logging.getLogger(__name__)
 
@@ -152,11 +154,12 @@ class DirichletSystem:
     `toarray` and `sum` add the repeats.
 
     A block is a connected component of the unseeded roi voxels; blocks are
-    numbered by their first voxel. `n_blocks` counts them all, pockets
-    included, and `largest_block` is the node count of the largest block of
-    L_U (0 when there is none). The pockets, blocks with no edge to a seed,
-    are listed by id in `seedless_components`; their voxels, in
-    `pocket_voxels`, are not in `unseeded`.
+    numbered by their first voxel, which is scipy's order, pinned by a test.
+    `n_blocks` counts them all, pockets included, and `largest_block` is the
+    node count of the largest block of L_U (0 when there is none). The
+    pockets, blocks with no edge to a seed, are listed by id in
+    `seedless_components`; their voxels, in `pocket_voxels`, are not in
+    `unseeded`.
     """
 
     unseeded: np.ndarray
@@ -201,25 +204,8 @@ class ProbabilityField:
     def __post_init__(self):
         self.values.setflags(write=False)
 
-    @property
-    def n_labels(self) -> int:
-        return len(self.label_ids)
-
     def column(self, label_id: int) -> np.ndarray:
         return self.values[:, self.label_ids.index(int(label_id))]
-
-
-def _whole_ids(values, what: str) -> np.ndarray:
-    """`values` as int64, refusing what a cast would change: booleans, fractions."""
-    arr = np.asarray(values)
-    # numpy reads a list such as [True, 3] as integers, so its items are checked
-    bools = not isinstance(values, np.ndarray) and any(
-        isinstance(v, (bool, np.bool_)) for v in values)
-    with np.errstate(invalid="ignore"):  # nan, inf and huge floats fail array_equal
-        ids = arr.astype(np.int64, copy=False) if arr.dtype.kind in "iuf" or not arr.size else None
-    if bools or ids is None or not np.array_equal(ids, arr):
-        raise ValueError(f"{what} must be whole numbers, not booleans, strings or fractions")
-    return ids
 
 
 def _coerce_seeds(seeds) -> tuple[np.ndarray, np.ndarray]:
@@ -353,8 +339,7 @@ def assemble(
     B = _csr([(to_seed[k], col[k], w[k]) for k in ascending], len(label_ids))
     del couplings, col, w, index  # held while L_U is copied below, they add 3 MB of peak
 
-    block = block_ids(L_U)
-    n_blocks = int(block.max()) + 1 if free.size else 0
+    n_blocks, block = connected_components(L_U, directed=False)
     reaches_seed = np.zeros(n_blocks, dtype=bool)
     reaches_seed[block[to_seed.any(axis=0)]] = True
     solved = reaches_seed[block]
@@ -446,13 +431,14 @@ def _pieces(W: sp.csr_matrix, box: np.ndarray, n_boxes: int) -> np.ndarray:
     """Piece number of each o node: its (island, box) pair, in that order.
 
     Islands are the components of W's strong edges, searched as a graph
-    over e then o; `box[i]` is o node i's box, one of `n_boxes`.
+    over e then o and numbered by their first node, scipy's order; `box[i]`
+    is o node i's box, one of `n_boxes`.
     """
     n_e, n_o = W.shape
     strong = W > ISLAND_TAU
     indptr = np.concatenate([strong.indptr, np.full(n_o, strong.nnz)])  # o rows empty
     graph = sp.csr_matrix((strong.data, n_e + strong.indices, indptr), shape=(n_e + n_o,) * 2)
-    island = block_ids(graph)[n_e:]
+    island = connected_components(graph, directed=False)[1][n_e:]
     return np.unique(island * n_boxes + box, return_inverse=True)[1]
 
 
@@ -470,15 +456,12 @@ def _solve_one(sys: DirichletSystem, red: _Reduction, label: int, out):
     `CG_ATOL`. The recursive r can drift from b - S x_o, so the label is
     accepted, and its residual reported, on b - S x_o computed once after
     the loop; a NaN residual ends the loop and is never accepted. Returns
-    the label's stats. A label with no seeds gives zeros without iterating.
+    the label's stats. A label with no seeds has b = 0, so x_0 = 0 and r = 0,
+    and it stops at step 0 with exact +0.0 values.
     Raises ConvergenceFailure, with the achieved residual, at the iteration
     cap or unless that true residual is at most CG_ATOL.
     """
     b = -(sys.B @ np.eye(len(sys.label_ids))[sys.label_ids.index(label)])
-    if not b.any():
-        out[:] = 0.0
-        log.info("label %d: no seeds, zero without CG", label)
-        return LabelSolveStats(label, 0, 0.0)
     W, Wt, Zt, SZt, piece = red.W, red.W.T, red.Zt, red.SZt, red.piece
     b_e = b[red.e]
     b = b[red.o] + Wt @ (b_e * red.e_inv)

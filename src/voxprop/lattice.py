@@ -13,15 +13,12 @@ clamped below at ``W_FLOOR`` so extreme contrast cannot disconnect the
 graph numerically.
 
 The whole roi's graph is never built: `assemble` visits only the unseeded
-voxels' neighbourhoods, and `block_ids` finds the components of the L_U it
-builds over them.
+voxels' neighbourhoods and builds L_U over them.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components as _cc
 
 from .errors import NonFiniteInput
 
@@ -85,18 +82,3 @@ def neighbor_voxels(voxels: np.ndarray, inside: np.ndarray, dims) -> np.ndarray:
         keep = inside[nb]
         out[k, idx[keep]] = nb[keep]
     return out
-
-
-def block_ids(adj: sp.spmatrix) -> np.ndarray:
-    """Component id per node of the graph whose edges are `adj`'s entries.
-
-    `adj` is square and sparse; an entry (i, j), or (j, i), joins nodes i
-    and j. Ids are ordered by each component's minimal node: component 0
-    contains node 0, the next component met scanning node ids upward gets 1,
-    and so on.
-    """
-    _, raw = _cc(adj, directed=False)
-    _, first = np.unique(raw, return_index=True)
-    order = np.empty(len(first), dtype=np.int64)
-    order[np.argsort(first)] = np.arange(len(first))
-    return order[raw]

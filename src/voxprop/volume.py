@@ -48,6 +48,19 @@ _KIND_DTYPE = {
 BACKGROUND_ID = 0
 
 
+def _whole_ids(values, what: str) -> np.ndarray:
+    """`values` as int64, refusing what a cast would change: booleans, fractions."""
+    arr = np.asarray(values)
+    # numpy reads a list such as [True, 3] as integers, so its items are checked
+    bools = not isinstance(values, np.ndarray) and any(
+        isinstance(v, (bool, np.bool_)) for v in values)
+    with np.errstate(invalid="ignore"):  # nan, inf and huge floats fail array_equal
+        ids = arr.astype(np.int64, copy=False) if arr.dtype.kind in "iuf" or not arr.size else None
+    if bools or ids is None or not np.array_equal(ids, arr):
+        raise ValueError(f"{what} must be whole numbers, not booleans, strings or fractions")
+    return ids
+
+
 def _as_triple(value, name: str, typ=float) -> tuple:
     out = tuple(typ(v) for v in value)
     if len(out) != 3:
@@ -155,22 +168,21 @@ def require_same_dims(*volumes) -> tuple[int, int, int]:
 class LabelSet:
     """Ordered set of (label_id, name) pairs.
 
-    Ids are unique, strictly positive, sorted ascending, and fit in uint16.
-    Id 0 is reserved for background and is never a member. Names are
-    unique, non-empty and free of leading or trailing whitespace, line
-    breaks, "/", "#" and NUL, so that each reads back unchanged from a
-    labelset file and can name an output file.
+    Ids are whole numbers (a whole float such as 3.0 loads as 3; booleans,
+    strings and fractions are refused), unique, strictly positive, sorted
+    ascending, and fit in uint16. Id 0 is reserved for background and is
+    never a member. Names are unique, non-empty and free of leading or
+    trailing whitespace, line breaks, "/", "#" and NUL, so that each reads
+    back unchanged from a labelset file and can name an output file.
     """
 
     entries: tuple[tuple[int, str], ...]
 
-    background_id = BACKGROUND_ID
-
     def __post_init__(self):
-        entries = tuple((int(i), str(n)) for i, n in self.entries)
+        ids = _whole_ids([i for i, _ in self.entries], "label ids").tolist()
+        entries = tuple((i, str(n)) for i, (_, n) in zip(ids, self.entries))
         if not entries:
             raise ValueError("a LabelSet needs at least one label")
-        ids = [i for i, _ in entries]
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate label ids: {ids}")
         names = [n for _, n in entries]
@@ -193,7 +205,8 @@ class LabelSet:
     @classmethod
     def from_ids(cls, ids: Iterable[int]) -> "LabelSet":
         """Label set with autogenerated names, for tests and quick scripts."""
-        return cls(tuple((int(i), f"label{int(i)}") for i in sorted(ids)))
+        ids = sorted(_whole_ids(list(ids), "label ids").tolist())
+        return cls(tuple((i, f"label{i}") for i in ids))
 
     @property
     def ids(self) -> tuple[int, ...]:
@@ -335,16 +348,17 @@ def min_max_normalize(v: Volume3D, roi: Volume3D | None = None) -> Volume3D:
 def center_crop(v: Volume3D, target: Sequence[int]) -> Volume3D:
     """Crop to `target` dims, centered per axis.
 
-    When ``dim - target`` is odd the extra voxel is trimmed from the
-    high-index side. The origin shifts so retained voxels keep their world
-    coordinates.
+    `target` holds 3 positive whole numbers; booleans and fractions are
+    refused, not truncated. When ``dim - target`` is odd the extra voxel is
+    trimmed from the high-index side. The origin shifts so retained voxels
+    keep their world coordinates.
 
     Raises
     ------
     TargetTooLarge
         If any target dim exceeds the source dim.
     """
-    target = tuple(int(t) for t in target)
+    target = tuple(_whole_ids(list(target), "target dims").tolist())
     if len(target) != 3 or min(target) < 1:
         raise ValueError(f"target must be 3 positive ints, got {target}")
     dims = v.dims

@@ -614,7 +614,8 @@ class TestInfoCommand:
 
 
 def test_commands_without_a_solve_do_not_import_scipy(tmp_path, phantom_files):
-    """fuse, evaluate, info and phantom need numpy alone; `from voxprop import
+    """fuse, evaluate, info and phantom need numpy alone, and so do
+    `voxprop.edge_weight` and `voxprop.W_FLOOR`; `from voxprop import
     propagate` still gives the function once the submodule is loaded."""
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(SPEC_JSON))
@@ -630,9 +631,11 @@ def test_commands_without_a_solve_do_not_import_scipy(tmp_path, phantom_files):
     ]
     code = f"""
 import sys
+import voxprop
 from voxprop.cli import main
 for argv in {commands!r}:
     assert main(argv) == 0, argv
+assert voxprop.edge_weight(0.0, 1.0, 0.0) == 1.0 and voxprop.W_FLOOR > 0
 assert "scipy" not in sys.modules, "scipy was imported"
 import voxprop.propagate
 from voxprop import propagate

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.sparse import csr_matrix
 
 from voxprop import (
     DimMismatch,
@@ -12,7 +11,6 @@ from voxprop import (
     assemble,
     edge_weight,
 )
-from voxprop.lattice import block_ids
 
 from conftest import full_mask, make_intensity, make_mask
 
@@ -169,30 +167,3 @@ class TestBuildLattice:
         s1 = one_seed_system(make_intensity(data), roi, 80.0)
         s2 = one_seed_system(make_intensity(data * s), roi, 80.0 / s**2)
         assert np.allclose(edge_weights(s1), edge_weights(s2), rtol=1e-12)
-
-
-def graph(n, rows, cols):
-    """The n-node sparse graph with one entry per edge (rows[i], cols[i])."""
-    rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
-    return csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
-
-
-class TestConnectedComponents:
-    """`block_ids`, the components pass that numbers the blocks of L_U."""
-
-    def test_path_single_component(self):
-        assert block_ids(graph(4, [0, 1, 2], [1, 2, 3])).tolist() == [0, 0, 0, 0]
-
-    def test_two_isolated(self):
-        assert block_ids(graph(2, [], [])).tolist() == [0, 1]
-
-    def test_pair_plus_singleton_sizes(self):
-        comp = block_ids(graph(3, [0], [1]))
-        assert np.bincount(comp).tolist() == [2, 1]
-
-    def test_ids_ordered_by_minimal_node(self):
-        # a 5-path and a 2-path, edges listed from the larger node
-        comp = block_ids(graph(7, [1, 2, 3, 4, 6], [0, 1, 2, 3, 5]))
-        assert comp.tolist() == [0] * 5 + [1] * 2
-        # node 0 alone, then nodes 1 and 3 joined, then node 2
-        assert block_ids(graph(4, [3], [1])).tolist() == [0, 1, 2, 1]

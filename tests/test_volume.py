@@ -176,6 +176,21 @@ class TestLabelSet:
             write_labelset(labels, path)
             assert read_labelset(path).names == labels.names
 
+    @pytest.mark.parametrize("bad", [1.9, True, "2", np.float64(2.5), float("nan")])
+    def test_ids_that_are_not_whole_numbers_rejected(self, bad):
+        with pytest.raises(ValueError, match="whole numbers"):
+            LabelSet(((bad, "A"),))
+
+    @pytest.mark.parametrize("ids", [[1.5, 3], [True, 3], ["1", 3]])
+    def test_from_ids_rejects_what_int_would_truncate(self, ids):
+        with pytest.raises(ValueError, match="whole numbers"):
+            LabelSet.from_ids(ids)
+
+    def test_whole_floats_and_numpy_ints_load(self):
+        labels = LabelSet(((3.0, "A"), (np.uint16(7), "B")))
+        assert labels.ids == (3, 7) and all(type(i) is int for i in labels.ids)
+        assert LabelSet.from_ids(np.array([4.0, 2.0])).entries == ((2, "label2"), (4, "label4"))
+
     def test_lookup(self):
         labels = LabelSet(((2, "MD"), (5, "CL")))
         assert labels.index(5) == 1
@@ -267,6 +282,15 @@ class TestCenterCrop:
     def test_target_too_large(self):
         with pytest.raises(TargetTooLarge):
             center_crop(make_intensity(np.zeros((2, 2, 2))), (3, 2, 2))
+
+    @pytest.mark.parametrize("target", [(2.7, 2, 2), (2, True, 2), (2, 2, "2"), (2, 2, np.nan)])
+    def test_target_that_is_not_whole_numbers_rejected(self, target):
+        with pytest.raises(ValueError, match="whole numbers"):
+            center_crop(make_intensity(np.zeros((3, 3, 3))), target)
+
+    def test_whole_float_target_accepted(self):
+        v = make_intensity(np.zeros((3, 3, 3)))
+        assert center_crop(v, (2.0, np.int64(1), 3)).dims == (2, 1, 3)
 
     def test_composition_equals_single_crop(self, rng):
         v = make_intensity(rng.normal(size=(9, 8, 7)), spacing=(1.0, 2.0, 3.0))
