@@ -87,7 +87,7 @@ from scipy.sparse.linalg import SuperLU, splu
 
 from .errors import ConvergenceFailure, EmptyRoi, NonFiniteInput, NoSeeds
 from .lattice import _check_beta, _weights, neighbor_voxels
-from .volume import LabelSet, Volume3D, _whole_ids, require_same_dims
+from .volume import LabelSet, Volume3D, _id_index, _sparse_zeros, _whole_ids, require_same_dims
 
 log = logging.getLogger(__name__)
 
@@ -205,7 +205,8 @@ class ProbabilityField:
         self.values.setflags(write=False)
 
     def column(self, label_id: int) -> np.ndarray:
-        return self.values[:, self.label_ids.index(int(label_id))]
+        """Values of label `label_id`, found as `LabelSet.index` finds it."""
+        return self.values[:, _id_index(self.label_ids, label_id)]
 
 
 def _coerce_seeds(seeds) -> tuple[np.ndarray, np.ndarray]:
@@ -315,8 +316,9 @@ def assemble(
     to_seed = present & seeded[nbrs]
     to_free = present & ~to_seed
 
-    # index[v]: a free voxel's row and column of L_U, a seed's label column of B
-    index = np.empty(inside.size, dtype=np.int64)
+    # index[v]: a free voxel's row and column of L_U, a seed's label column of B.
+    # Written only at roi voxels, so a large grid keeps it off huge pages
+    index = _sparse_zeros(inside.size, np.int64)
     index[free] = np.arange(free.size)
     index[seed_voxels] = np.searchsorted(label_ids, seed_labels)
     col = index[nbrs]

@@ -38,6 +38,7 @@ from .volume import (
     LabelSet,
     MultiLabelAnnotation,
     Volume3D,
+    _sparse_zeros,
     require_same_dims,
     strip_conflicts,
 )
@@ -263,10 +264,10 @@ def _propagate(req: PropagationRequest, regions: tuple[Volume3D, ...], where: st
     # block without a seed of label k, see `solve_all`), and a -0.0 is
     # still written, so the volume equals a full scatter. A soft volume
     # thus costs the pages of its label's one-hot fill and of its nonzero
-    # solved entries. numpy asks for huge pages on arrays of 4 MB or more,
-    # so where the kernel grants them each touched 2 MB granule is resident.
+    # solved entries: 4 KB pages, since `_sparse_zeros` keeps a volume of
+    # 4 MiB or more off the 2 MB huge pages numpy would ask for.
     def soft_volume(k: int) -> Volume3D:
-        flat = np.zeros(roi.n_voxels)
+        flat = _sparse_zeros(roi.n_voxels)
         np.copyto(flat, 1.0, where=hard == ids[k])
         for voxels, values in solved:
             col = values[:, k]

@@ -25,6 +25,7 @@ read-only), so they are safe to share across threads.
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Literal, Sequence
@@ -46,6 +47,41 @@ _KIND_DTYPE = {
 
 #: Reserved background label id; never a member of a LabelSet.
 BACKGROUND_ID = 0
+
+#: Size in bytes from which numpy's allocator advises an array onto
+#: transparent huge pages (Linux only).
+_HUGE_PAGE_BYTES = 1 << 22
+
+
+def _sparse_zeros(n: int, dtype=np.float64) -> np.ndarray:
+    """Zeroed 1D array of `n` items, for arrays written at few of them.
+
+    numpy advises every array of `_HUGE_PAGE_BYTES` or more onto 2 MB
+    transparent huge pages, so one write makes its whole 2 MB granule
+    resident. From that size, where the platform offers MADV_NOHUGEPAGE,
+    the array lies on its own private anonymous mapping advised against
+    huge pages, and a write makes one 4 KB page resident. Smaller arrays,
+    and every array elsewhere, come from np.zeros.
+    """
+    nbytes = n * np.dtype(dtype).itemsize
+    if nbytes < _HUGE_PAGE_BYTES or not hasattr(mmap, "MADV_NOHUGEPAGE"):
+        return np.zeros(n, dtype)
+    # private, so that a forked child's writes never reach these pages
+    buf = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
+    buf.madvise(mmap.MADV_NOHUGEPAGE)
+    return np.frombuffer(buf, dtype)
+
+
+def _id_index(ids: tuple[int, ...], label_id) -> int:
+    """Position of `label_id` in `ids`; KeyError unless it is one of them.
+
+    Ids match by value, so 5.0 and numpy integers find id 5 while a
+    fraction or a string matches none. A boolean, which equals 0 or 1, is
+    never an id.
+    """
+    if isinstance(label_id, (bool, np.bool_)) or label_id not in ids:
+        raise KeyError(f"label id {label_id!r} not in label set")
+    return ids.index(label_id)
 
 
 def _whole_ids(values, what: str) -> np.ndarray:
@@ -220,14 +256,20 @@ class LabelSet:
         return len(self.entries)
 
     def __contains__(self, label_id) -> bool:
-        return int(label_id) in self.ids
+        try:
+            self.index(label_id)
+        except KeyError:
+            return False
+        return True
 
     def index(self, label_id: int) -> int:
-        """Position of `label_id` in the ordered entries."""
-        try:
-            return self.ids.index(int(label_id))
-        except ValueError:
-            raise KeyError(f"label id {label_id} not in label set") from None
+        """Position of `label_id` in the ordered entries.
+
+        A whole float or numpy integer finds its id; a fraction, a boolean
+        or a string is never a member and raises KeyError, as an absent id
+        does.
+        """
+        return _id_index(self.ids, label_id)
 
     def name(self, label_id: int) -> str:
         return self.entries[self.index(label_id)][1]

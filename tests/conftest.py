@@ -34,3 +34,10 @@ def annotation_from_sets(labels: LabelSet, dims, voxel_sets: dict):
         for lab in ids:
             masks[labels.index(lab)][voxel] = True
     return MultiLabelAnnotation(labels, masks)
+
+
+def backing(arr):
+    """What `arr`'s chain of bases ends in, looking through a memoryview."""
+    while isinstance(arr, np.ndarray):
+        arr = arr.base
+    return arr.obj if isinstance(arr, memoryview) else arr

@@ -267,6 +267,17 @@ class TestSolveLabel:
         assert field.stats[1] == dirichlet.LabelSolveStats(2, 0, 0.0)
         assert field.stats[0].iterations > 0
 
+    @pytest.mark.parametrize("label_id", [2, 2.0, np.int64(2), np.uint16(2)])
+    def test_column_found_by_whole_value(self, label_id):
+        field = dirichlet.ProbabilityField(np.array([[0.25, 0.75]]), (1, 2))
+        assert np.array_equal(field.column(label_id), [0.75])
+
+    @pytest.mark.parametrize("label_id", [1.5, 2.5, True, "1", 3])
+    def test_column_lookup_does_not_truncate(self, label_id):
+        field = dirichlet.ProbabilityField(np.array([[0.25, 0.75]]), (1, 2))
+        with pytest.raises(KeyError):
+            field.column(label_id)
+
     def test_seedless_chain_left_out_of_the_system(self, rng, monkeypatch):
         # x = 0..2 is a chain with no seed (a pocket); x = 4..8 a seeded chain
         dims = (9, 1, 1)

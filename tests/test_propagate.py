@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import mmap
 import os
 import subprocess
 import sys
@@ -28,8 +29,9 @@ from voxprop import (
 from voxprop import dirichlet
 from voxprop.phantom import PhantomBlob, PhantomSpec, make_phantom
 from voxprop.propagate import PropagationRequest, _nearest_seed_cols
+from voxprop.volume import _HUGE_PAGE_BYTES
 
-from conftest import annotation_from_sets, full_mask, make_intensity, make_mask
+from conftest import annotation_from_sets, backing, full_mask, make_intensity, make_mask
 from helpers import argmax_labels, brute_force_edges, dense_dirichlet, soft_from_fills
 
 
@@ -821,17 +823,23 @@ GOLDEN_SPECS = {
 }
 
 
-def golden_run(entry, spec_name, policy):
+def golden_run(entry, spec_name, policy, pad_z=0):
     """Run `entry` ("propagate" or "bilateral") on a golden phantom.
 
     On "capped", the roi's outermost two x-planes at each end are cut off by
     a one-plane gap and lose their annotation, so each end is a seedless
     pocket; the bilateral run also leaves a two-plane gap slab mid-roi.
+    Every input gets `pad_z` more z-planes, outside the roi, with zero
+    guidance and no annotation.
     """
     ph = make_phantom(GOLDEN_SPECS[spec_name])
     spacing = ph.roi.spacing
     roi, masks = ph.roi.data, ph.annotation.masks
     hemispheres = None
+
+    def pad(a):
+        return np.pad(a, [(0, 0)] * (a.ndim - 1) + [(0, pad_z)])
+
     if spec_name == "capped":
         x = np.arange(roi.shape[0])[:, None, None]
         xs = np.flatnonzero(roi.any(axis=(1, 2)))
@@ -839,12 +847,13 @@ def golden_run(entry, spec_name, policy):
         cut = roi & (x != lo) & (x != hi)
         masks = masks & ~(roi & ((x < lo) | (x > hi)))
         halves = (cut & (x < mid - 1), cut & (x > mid))
-        hemispheres = tuple(Volume3D(h, "mask", spacing) for h in halves)
+        hemispheres = tuple(Volume3D(pad(h), "mask", spacing) for h in halves)
         if entry == "propagate":
             roi = cut
     req = PropagationRequest(
-        guidance=ph.guidance, roi=Volume3D(roi, "mask", spacing),
-        annotation=MultiLabelAnnotation(ph.labels, masks, spacing),
+        guidance=ph.guidance.with_data(pad(ph.guidance.data)),
+        roi=Volume3D(pad(roi), "mask", spacing),
+        annotation=MultiLabelAnnotation(ph.labels, pad(masks), spacing),
         beta=1000.0, seedless_policy=policy,
     )
     return propagate(req) if entry == "propagate" else propagate_bilateral(req, hemispheres)
@@ -984,6 +993,26 @@ def test_soft_volumes_match_a_full_scatter(entry, spec_name, policy, route, monk
         for voxels, values in solved:
             want[voxels] = values[:, res.labels.ids.index(label_id)]
         assert vol.data.ravel(order="F").tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("route", ["direct", "pcg"])
+@pytest.mark.parametrize("entry", ["propagate", "bilateral"])
+def test_volumes_past_the_huge_page_size_match_smaller_ones(entry, route, monkeypatch):
+    # z-planes appended outside the roi keep every roi voxel's flat index and
+    # ISLAND_BOX box, so L_U is the same; the padded volumes pass the size
+    # from which `_sparse_zeros` maps its own pages
+    if route == "pcg":
+        monkeypatch.setattr(dirichlet, "DIRECT_BLOCK_LIMIT", 0)
+    plain = golden_run(entry, "capped", "nearest_seed")
+    nx, ny, nz = plain.hard.dims
+    padded = golden_run(entry, "capped", "nearest_seed", pad_z=_HUGE_PAGE_BYTES // (8 * nx * ny))
+    assert plain.soft[0].data.nbytes < _HUGE_PAGE_BYTES <= padded.soft[0].data.nbytes
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        assert all(isinstance(backing(v.data), mmap.mmap) for v in padded.soft)
+    for a, b in zip(plain.soft + (plain.hard,), padded.soft + (padded.hard,)):
+        assert b.data[:, :, :nz].tobytes(order="F") == a.data.tobytes(order="F")
+        assert not b.data[:, :, nz:].any()
+    assert padded.report == plain.report
 
 
 def golden_digests(res):

@@ -1,3 +1,5 @@
+import mmap
+import os
 import tempfile
 from pathlib import Path
 
@@ -22,8 +24,12 @@ from voxprop import (
     write_labelset,
 )
 
-from conftest import annotation_from_sets, full_mask, make_intensity, make_mask
+from voxprop.volume import _HUGE_PAGE_BYTES, _sparse_zeros
+
+from conftest import annotation_from_sets, backing, full_mask, make_intensity, make_mask
 from helpers import argmax_labels
+
+NO_HUGE_PAGE_ADVICE = not hasattr(mmap, "MADV_NOHUGEPAGE")
 
 
 class TestVolume3D:
@@ -198,6 +204,58 @@ class TestLabelSet:
         assert 5 in labels and 4 not in labels
         with pytest.raises(KeyError):
             labels.index(9)
+
+    @pytest.mark.parametrize("label_id", [5.0, np.int64(5), np.uint16(5), np.float64(5.0)])
+    def test_whole_numbers_of_any_type_are_found(self, label_id):
+        labels = LabelSet(((2, "MD"), (5, "CL")))
+        assert label_id in labels
+        assert labels.index(label_id) == 1 and labels.name(label_id) == "CL"
+
+    @pytest.mark.parametrize(
+        "label_id", [2.9, 5.5, 2.5, np.float64(1.5), True, np.True_, "2", "5"]
+    )
+    def test_lookups_do_not_truncate(self, label_id):
+        labels = LabelSet(((1, "AN"), (2, "MD"), (5, "CL")))
+        assert label_id not in labels
+        with pytest.raises(KeyError):
+            labels.index(label_id)
+        with pytest.raises(KeyError):
+            labels.name(label_id)
+
+
+class TestSparseZeros:
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64, np.uint16])
+    @pytest.mark.parametrize(
+        "nbytes", [_HUGE_PAGE_BYTES - 8, _HUGE_PAGE_BYTES, 3 * _HUGE_PAGE_BYTES]
+    )
+    def test_zeroed_and_writable(self, nbytes, dtype):
+        n = nbytes // np.dtype(dtype).itemsize
+        a = _sparse_zeros(n, dtype)
+        assert a.dtype == dtype and a.shape == (n,)
+        assert not a.any() and a.flags.writeable
+        a[[0, -1]] = 1
+        assert a.sum() == 2
+
+    @pytest.mark.skipif(NO_HUGE_PAGE_ADVICE, reason="no MADV_NOHUGEPAGE on this platform")
+    def test_huge_page_sized_arrays_lie_on_their_own_mapping(self):
+        n = _HUGE_PAGE_BYTES // 8
+        a = _sparse_zeros(n)
+        assert a.dtype == np.float64 and isinstance(backing(a), mmap.mmap)
+        assert isinstance(backing(_sparse_zeros(_HUGE_PAGE_BYTES // 2, np.int16)), mmap.mmap)
+        assert not isinstance(backing(_sparse_zeros(n - 1)), mmap.mmap)
+
+    @pytest.mark.skipif(
+        NO_HUGE_PAGE_ADVICE or not os.path.exists("/proc/self/statm"),
+        reason="needs MADV_NOHUGEPAGE and /proc/self/statm",
+    )
+    def test_sparse_writes_make_few_pages_resident(self):
+        def rss():
+            return int(Path("/proc/self/statm").read_text().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+        a = _sparse_zeros((64 << 20) // 8)
+        before = rss()
+        a[:: (2 << 20) // 8] = 1.0  # one write per 2 MiB: 32 writes
+        assert rss() - before < 4 << 20
 
 
 class TestMinMaxNormalize:
