@@ -24,6 +24,7 @@ from voxprop import (
     write_labelset,
 )
 
+from voxprop import volume
 from voxprop.volume import _HUGE_PAGE_BYTES, _sparse_zeros
 
 from conftest import annotation_from_sets, backing, full_mask, make_intensity, make_mask
@@ -243,6 +244,22 @@ class TestSparseZeros:
         assert a.dtype == np.float64 and isinstance(backing(a), mmap.mmap)
         assert isinstance(backing(_sparse_zeros(_HUGE_PAGE_BYTES // 2, np.int16)), mmap.mmap)
         assert not isinstance(backing(_sparse_zeros(n - 1)), mmap.mmap)
+
+    @pytest.mark.skipif(not hasattr(mmap, "MAP_PRIVATE"), reason="no private mappings")
+    def test_refused_advice_still_gives_zeros(self, monkeypatch):
+        class Refusing(mmap.mmap):
+            def madvise(self, *args):
+                raise OSError(22, "Invalid argument")
+
+        fake = type(mmap)("mmap")
+        fake.mmap, fake.MAP_PRIVATE = Refusing, mmap.MAP_PRIVATE
+        fake.MADV_NOHUGEPAGE = getattr(mmap, "MADV_NOHUGEPAGE", 15)
+        monkeypatch.setattr(volume, "mmap", fake)
+        a = _sparse_zeros(_HUGE_PAGE_BYTES // 8)
+        assert isinstance(backing(a), Refusing)
+        assert a.dtype == np.float64 and not a.any() and a.flags.writeable
+        a[-1] = 2.0
+        assert a.sum() == 2.0
 
     @pytest.mark.skipif(
         NO_HUGE_PAGE_ADVICE or not os.path.exists("/proc/self/statm"),
